@@ -1,5 +1,6 @@
 # Mirrors .github/workflows/ci.yml so local and CI invocations stay
-# identical: `make build test lint race bench-smoke` is what CI runs.
+# identical: `make build test lint race bench-smoke bench-harness` is
+# what CI runs.
 
 GO ?= go
 # Benchmark iteration budget; CI overrides with 1x for the smoke run.
@@ -13,7 +14,7 @@ BENCHCOUNT ?= 1
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build test race bench bench-store bench-diff bench-smoke fuzz scale lint fmt clean
+.PHONY: all build test race bench bench-store bench-diff bench-smoke bench-harness fuzz scale lint fmt clean
 
 all: build lint test
 
@@ -39,9 +40,8 @@ bench:
 # bytes_per_peer floor and ns/snap browse cost,
 # BenchmarkRunSimParallel's sharded event loop at one worker vs the
 # machine, BenchmarkSweepInterleaved's sweep scheduler with its
-# ns/point cost, BenchmarkServeTCP's loopback serving hot path with its
-# ns/query cost in both the legacy and hot-path modes); same JSON
-# artefact, much faster than `make bench`.
+# ns/point cost, BenchmarkServeTCP's loopback serving path with its
+# ns/query cost); same JSON artefact, much faster than `make bench`.
 bench-store:
 	$(GO) test -run='^$$' -bench='^(BenchmarkPairOverlap|BenchmarkSuite|BenchmarkSuiteScale|BenchmarkTraceIO|BenchmarkCrawlScale|BenchmarkRunSimParallel|BenchmarkSweepInterleaved|BenchmarkServeTCP)$$' -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) -benchmem ./... | $(GO) run ./cmd/benchjson -out BENCH_store.json
 
@@ -61,10 +61,20 @@ bench-diff: bench-store
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# Short fuzz budget over the trace readers (CI runs this and caches the
-# corpus); go's fuzz corpus lives under $(go env GOCACHE)/fuzz.
+# bench/ is a module of its own (BENCHMARK.json runs it from source), so
+# `build` and `test` above neither compile nor test it: a change to an
+# internal/ API it calls would break the benchmark with tier-1 green.
+bench-harness:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Short fuzz budget over everything that parses bytes from outside: the
+# trace readers, the general wire decoder and the server-role request
+# decoder (CI runs this and caches the corpus); go's fuzz corpus lives
+# under $(go env GOCACHE)/fuzz. -fuzz takes one target per run.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadTrace -fuzztime=10s ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzReadMessage -fuzztime=10s ./internal/protocol
+	$(GO) test -run='^$$' -fuzz=FuzzRequestDecoder -fuzztime=10s ./internal/protocol
 
 # Scale scenario: a 100k-peer synthetic population driven through the
 # semantic-search sweep — impractical before the columnar store.

@@ -12,9 +12,7 @@
 //	edserved -addr :4661 -trace capture.edt [-day 0]
 //
 // The -stats heartbeat prints active/accepted connections, the interval
-// qps and cumulative per-class counts. -legacy serves through the
-// unsharded first-cut path (global directory mutex, per-reply
-// allocations and flushes) for A/B comparison against the hot path.
+// qps and cumulative per-class counts.
 package main
 
 import (
@@ -42,16 +40,15 @@ func main() {
 		maxConns  = flag.Int("maxconns", serve.DefaultMaxConns, "concurrent connection cap")
 		statsIvl  = flag.Duration("stats", 10*time.Second, "heartbeat interval (0 = silent)")
 		grace     = flag.Duration("grace", 10*time.Second, "drain deadline after SIGTERM")
-		legacy    = flag.Bool("legacy", false, "serve through the unsharded first-cut path (A/B baseline)")
 	)
 	flag.Parse()
-	if err := run(*addr, *tracePath, *peers, *seed, *day, *maxConns, *statsIvl, *grace, *legacy); err != nil {
+	if err := run(*addr, *tracePath, *peers, *seed, *day, *maxConns, *statsIvl, *grace); err != nil {
 		fmt.Fprintln(os.Stderr, "edserved:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, tracePath string, peers int, seed uint64, day, maxConns int, statsIvl, grace time.Duration, legacy bool) error {
+func run(addr, tracePath string, peers int, seed uint64, day, maxConns int, statsIvl, grace time.Duration) error {
 	snap, err := buildSnapshot(tracePath, peers, seed, day)
 	if err != nil {
 		return err
@@ -59,12 +56,12 @@ func run(addr, tracePath string, peers int, seed uint64, day, maxConns int, stat
 	fmt.Printf("edserved: serving day %d: %d users, %d published files\n",
 		day, snap.NumUsers(), snap.NumFiles())
 
-	srv := serve.New(snap, serve.Config{MaxConns: maxConns, Legacy: legacy})
+	srv := serve.New(snap, serve.Config{MaxConns: maxConns})
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("edserved: listening on %s (maxconns=%d legacy=%v)\n", ln.Addr(), maxConns, legacy)
+	fmt.Printf("edserved: listening on %s (maxconns=%d)\n", ln.Addr(), maxConns)
 
 	if statsIvl > 0 {
 		go heartbeat(srv, statsIvl)

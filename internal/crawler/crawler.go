@@ -263,8 +263,9 @@ func (c *Crawler) crawlDay(day, totalDays int) error {
 	// can run as independent pool jobs while the trace-side commit
 	// (identity registration, first-sight file numbering, stats) stays a
 	// single serial pass in key order. Any worker count produces the same
-	// trace bit-for-bit. Jobs run in bounded chunks so at most one
-	// chunk's rendered file lists is ever resident.
+	// trace bit-for-bit. A job brings back the answer's entry list as it
+	// came off the wire and the commit walks it in place; jobs run in
+	// bounded chunks so at most one chunk's lists is ever resident.
 	keys := make([]identityKey, 0, len(reachable))
 	for k := range reachable {
 		keys = append(keys, k)
@@ -277,21 +278,21 @@ func (c *Crawler) crawlDay(day, totalDays int) error {
 		c.Stats.BudgetExhausted++
 	}
 	type browseResult struct {
-		files []protocol.FileEntry
-		err   error
+		list []byte // encoded entry list, see protocol.WalkFiles
+		err  error
 	}
 	pool := c.world.Pool()
 	results := make([]browseResult, min(n, browseChunkSize))
 	for start := 0; start < n; start += browseChunkSize {
 		chunk := keys[start:min(start+browseChunkSize, n)]
 		pool.Map(len(chunk), func(j int) {
-			files, err := me.Browse(reachable[chunk[j]].Endpoint)
-			results[j] = browseResult{files, err}
+			list, err := me.BrowseList(reachable[chunk[j]].Endpoint)
+			results[j] = browseResult{list, err}
 		})
 		for j, key := range chunk {
 			c.Stats.BrowseAttempts++
 			r := results[j]
-			results[j] = browseResult{} // release the rendered entries
+			results[j] = browseResult{} // release the list
 			if r.err != nil {
 				if c.gateway.wasBrowsable(key) {
 					c.Stats.BrowseFailed++ // unexpected: peer vanished mid-day
@@ -300,7 +301,7 @@ func (c *Crawler) crawlDay(day, totalDays int) error {
 				}
 				continue
 			}
-			c.record(day, reachable[key], r.files)
+			c.record(day, reachable[key], r.list)
 			c.Stats.Snapshots++
 		}
 	}
@@ -312,8 +313,11 @@ func (c *Crawler) crawlDay(day, totalDays int) error {
 // affects memory and scheduling but not one byte of the trace.
 const browseChunkSize = 4096
 
-// record registers the browsed identity and its cache in the trace.
-func (c *Crawler) record(day int, u protocol.UserEntry, files []protocol.FileEntry) {
+// record registers the browsed identity and its cache in the trace. list
+// is the browse answer's encoded entry list, already checked by
+// BrowseList; it is walked in place, so a file costs a name string only
+// the first time its hash is seen.
+func (c *Crawler) record(day int, u protocol.UserEntry, list []byte) {
 	key := identityKey{u.Hash, u.Endpoint.IP}
 	pid, ok := c.peerIDs[key]
 	if !ok {
@@ -331,15 +335,17 @@ func (c *Crawler) record(day int, u protocol.UserEntry, files []protocol.FileEnt
 		pid = c.builder.AddPeer(info)
 		c.peerIDs[key] = pid
 	}
-	cache := make([]trace.FileID, 0, len(files))
-	for _, f := range files {
+	w := protocol.WalkFiles(list)
+	cache := make([]trace.FileID, 0, w.Len())
+	var f protocol.FileView
+	for w.Next(&f) {
 		fid, ok := c.fileIDs[f.Hash]
 		if !ok {
 			fid = c.builder.AddFile(trace.FileMeta{
 				Hash:       f.Hash,
-				Name:       f.Name,
+				Name:       string(f.Name),
 				Size:       int64(f.Size),
-				Kind:       trace.ParseKind(f.Type),
+				Kind:       trace.ParseKind(string(f.Type)),
 				Topic:      -1, // latent; invisible to a real crawler
 				ReleaseDay: -1,
 			})

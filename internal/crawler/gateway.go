@@ -68,10 +68,19 @@ type worldGateway struct {
 	hashMu   sync.Mutex
 	hashIdx  map[[16]byte]int32
 	hashSize int // catalogue length the index covers
+
+	// frames recycles the browse handlers' reply buffers. A handler
+	// holds one only while it renders and writes a reply — a pipe write
+	// returns once the peer has read it all — not for as long as it
+	// lives: finished handlers linger by the dozen until the scheduler
+	// lets them see their peer's close, and a buffer each would leave
+	// the next dial nothing to reuse.
+	frames sync.Pool // of *[]byte
 }
 
 func newWorldGateway(w *workload.World, cfg Config, n *edonkey.Network) (*worldGateway, error) {
 	g := &worldGateway{w: w, cfg: cfg, net: n, maxUserReplies: edonkey.DefaultMaxUserReplies}
+	g.frames.New = func() any { return new([]byte) }
 	g.buildNickOrder()
 	if err := n.Listen(serverEndpoint, g.serveServer); err != nil {
 		return nil, err
@@ -171,8 +180,8 @@ func (g *worldGateway) wasBrowsable(key identityKey) bool {
 
 // --- protocol.Directory over the world columns ---------------------------
 
-func (g *worldGateway) Servers() []protocol.Endpoint {
-	return []protocol.Endpoint{serverEndpoint}
+func (g *worldGateway) ForEachServer(yield func(protocol.Endpoint) bool) {
+	yield(serverEndpoint)
 }
 
 func (g *worldGateway) userEntry(i int) protocol.UserEntry {
@@ -195,11 +204,14 @@ func (g *worldGateway) userEntry(i int) protocol.UserEntry {
 func (g *worldGateway) UsersWithPrefix(prefix string, yield func(protocol.UserEntry) bool) {
 	// Nicknames are lowercase letters, digits and '_', all below '{', so
 	// the prefix bucket is the contiguous range [prefix, prefix+"{").
+	// Each probe renders its nickname into nick instead of a string.
+	var nick [32]byte
+	end := prefix + "{"
 	lo := sort.Search(len(g.nickOrder), func(k int) bool {
-		return g.w.Nickname(int(g.nickOrder[k])) >= prefix
+		return string(g.w.AppendNickname(nick[:0], int(g.nickOrder[k]))) >= prefix
 	})
 	hi := sort.Search(len(g.nickOrder), func(k int) bool {
-		return g.w.Nickname(int(g.nickOrder[k])) >= prefix+"{"
+		return string(g.w.AppendNickname(nick[:0], int(g.nickOrder[k]))) >= end
 	})
 	for k := lo; k < hi; k++ {
 		i := int(g.nickOrder[k])
@@ -259,13 +271,13 @@ func (g *worldGateway) holders(fi int32) []int {
 	return out
 }
 
-func (g *worldGateway) SourcesOf(hash [16]byte) []protocol.Endpoint {
+func (g *worldGateway) ForEachSource(hash [16]byte, yield func(protocol.Endpoint) bool) {
 	if !g.cfg.PublishFiles {
-		return nil // nothing was published to the index
+		return // nothing was published to the index
 	}
 	fi, ok := g.fileIndex()[hash]
 	if !ok {
-		return nil
+		return
 	}
 	var out []protocol.Endpoint
 	for _, i := range g.holders(fi) {
@@ -280,12 +292,16 @@ func (g *worldGateway) SourcesOf(hash [16]byte) []protocol.Endpoint {
 		}
 		return int(a.Port) - int(b.Port)
 	})
-	return out
+	for _, ep := range out {
+		if !yield(ep) {
+			return
+		}
+	}
 }
 
-func (g *worldGateway) SearchFiles(keyword string) []protocol.FileEntry {
+func (g *worldGateway) ForEachFile(keyword string, yield func(protocol.FileEntry) bool) {
 	if !g.cfg.PublishFiles {
-		return nil
+		return
 	}
 	// One pass over the catalogue names finds the keyword matches, then
 	// one pass over the logged-in caches counts each match's sources —
@@ -298,7 +314,7 @@ func (g *worldGateway) SearchFiles(keyword string) []protocol.FileEntry {
 		}
 	}
 	if len(matches) == 0 {
-		return nil
+		return
 	}
 	for i := 0; i < g.w.NumClients(); i++ {
 		if !g.participating[i] {
@@ -327,7 +343,11 @@ func (g *worldGateway) SearchFiles(keyword string) []protocol.FileEntry {
 	slices.SortFunc(out, func(a, b protocol.FileEntry) int {
 		return bytes.Compare(a.Hash[:], b.Hash[:])
 	})
-	return out
+	for _, f := range out {
+		if !yield(f) {
+			return
+		}
+	}
 }
 
 // nameHasToken mirrors the boxed server's name tokenizer.
@@ -348,35 +368,40 @@ func nameHasToken(name, token string) bool {
 
 // --- wire handlers --------------------------------------------------------
 
-func (g *worldGateway) gwSend(conn net.Conn, m protocol.Message) error {
+// gwWrite puts one rendered frame on the wire.
+func (g *worldGateway) gwWrite(conn net.Conn, frame []byte) error {
 	if err := conn.SetDeadline(time.Now().Add(g.net.DialTimeout)); err != nil {
 		return err
 	}
-	return protocol.WriteMessage(conn, m)
+	_, err := conn.Write(frame)
+	return err
 }
+
+var rejectUnsupported = &protocol.Reject{Reason: "unsupported request"}
 
 // serveServer answers one connection to the first-tier server endpoint.
 func (g *worldGateway) serveServer(conn net.Conn) {
 	defer conn.Close()
 	core := g.core()
+	var scratch, reply []byte
 	for {
-		m, err := protocol.ReadMessage(conn)
+		m, sc, err := protocol.ReadMessageInto(conn, scratch)
+		scratch = sc
 		if err != nil {
 			return
 		}
-		var reply protocol.Message
 		switch req := m.(type) {
 		case *protocol.LoginRequest:
-			reply = g.handleLogin(req)
+			reply, _ = protocol.AppendMessage(reply[:0], g.handleLogin(req))
 		case *protocol.OfferFiles:
 			continue // accepted silently, like the original protocol
 		default:
 			var handled bool
-			if reply, handled = core.Handle(m); !handled {
-				reply = &protocol.Reject{Reason: "unsupported request"}
+			if reply, handled = core.AppendReply(reply[:0], m); !handled {
+				reply, _ = protocol.AppendMessage(reply[:0], rejectUnsupported)
 			}
 		}
-		if err := g.gwSend(conn, reply); err != nil {
+		if err := g.gwWrite(conn, reply); err != nil {
 			return
 		}
 	}
@@ -417,45 +442,66 @@ func (g *worldGateway) resolveClient(ep protocol.Endpoint) (edonkey.ConnHandler,
 	}, true
 }
 
+var (
+	rejectBrowse  = &protocol.Reject{Reason: "browsing disabled"}
+	rejectRequest = &protocol.Reject{Reason: "unsupported"}
+)
+
 // serveClient answers client-client sessions for world client i.
 func (g *worldGateway) serveClient(i int, conn net.Conn) {
 	defer conn.Close()
+	var scratch []byte
 	for {
-		m, err := protocol.ReadMessage(conn)
+		m, sc, err := protocol.ReadMessageInto(conn, scratch)
+		scratch = sc
 		if err != nil {
 			return
 		}
-		var reply protocol.Message
+		buf := g.frames.Get().(*[]byte)
+		reply := (*buf)[:0]
 		switch m.(type) {
 		case *protocol.Hello:
 			_, hash := g.w.IdentityAt(i, g.day)
-			reply = &protocol.HelloAnswer{UserHash: hash, Nickname: g.w.Nickname(i)}
+			reply, _ = protocol.AppendMessage(reply, &protocol.HelloAnswer{UserHash: hash, Nickname: g.w.Nickname(i)})
 		case *protocol.AskSharedFiles:
 			if !g.w.BrowseOK(i) {
-				reply = &protocol.Reject{Reason: "browsing disabled"}
+				reply, _ = protocol.AppendMessage(reply, rejectBrowse)
 			} else {
-				reply = &protocol.SharedFilesAnswer{Files: g.entriesFor(i)}
+				reply = g.appendSharedFiles(reply, i)
 			}
 		default:
-			reply = &protocol.Reject{Reason: "unsupported"}
+			reply, _ = protocol.AppendMessage(reply, rejectRequest)
 		}
-		if err := g.gwSend(conn, reply); err != nil {
+		*buf = reply
+		err = g.gwWrite(conn, *buf)
+		g.frames.Put(buf)
+		if err != nil {
 			return
 		}
 	}
 }
 
-// entriesFor renders client i's cache span as protocol file entries.
-func (g *worldGateway) entriesFor(i int) []protocol.FileEntry {
+// maxEntrySize bounds one encoded entry of a browse answer: hash, size,
+// tag count, then the name, type and availability tags with the longest
+// synthesized name and kind.
+const maxEntrySize = 16 + 8 + 4 + (4 + 48) + (4 + 8) + 6
+
+// appendSharedFiles renders client i's browse answer from the columns
+// straight into dst: the cache span entry by entry, each name
+// synthesized into a stack buffer, no FileEntry and no string.
+func (g *worldGateway) appendSharedFiles(dst []byte, i int) []byte {
 	files, _ := g.w.CacheView(i)
-	out := make([]protocol.FileEntry, 0, len(files))
+	// Reserve the whole answer at once: a cache span can run to
+	// thousands of entries, and growing by doubling would allocate
+	// twice the frame.
+	dst = slices.Grow(dst, 16+len(files)*maxEntrySize)
+	var f protocol.ListFrame
+	f.BeginFiles(dst, protocol.OpSharedFilesAnswer)
+	var name [64]byte
 	for _, fi := range files {
-		out = append(out, protocol.FileEntry{
-			Hash: g.w.FileHash(int(fi)),
-			Size: uint64(g.w.FileSize(int(fi))),
-			Name: g.w.FileName(int(fi)),
-			Type: g.w.FileKind(int(fi)).String(),
-		})
+		fi := int(fi)
+		f.AppendFile(g.w.FileHash(fi), uint64(g.w.FileSize(fi)),
+			g.w.AppendFileName(name[:0], fi), g.w.FileKind(fi).String(), 0)
 	}
-	return out
+	return f.End()
 }

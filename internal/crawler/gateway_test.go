@@ -1,11 +1,13 @@
 package crawler
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"edonkey/internal/protocol"
 	"edonkey/internal/trace"
 	"edonkey/internal/workload"
 )
@@ -134,18 +136,22 @@ func TestGatewayPublishQueries(t *testing.T) {
 		return -1
 	}
 	query := func(fi int32) (sources int, found bool) {
-		eps := g.SourcesOf(w.FileHash(int(fi)))
+		g.ForEachSource(w.FileHash(int(fi)), func(protocol.Endpoint) bool {
+			sources++
+			return true
+		})
 		// Keyword search by the file's topic token must include it too.
 		tok := fmt.Sprintf("t%03d", w.FileTopic(int(fi)))
-		for _, f := range g.SearchFiles(tok) {
+		g.ForEachFile(tok, func(f protocol.FileEntry) bool {
 			if f.Hash == w.FileHash(int(fi)) {
-				if int(f.Availability) != len(eps) {
-					t.Fatalf("availability %d != %d sources", f.Availability, len(eps))
+				if int(f.Availability) != sources {
+					t.Fatalf("availability %d != %d sources", f.Availability, sources)
 				}
 				found = true
 			}
-		}
-		return len(eps), found
+			return true
+		})
+		return sources, found
 	}
 
 	g.beginDay(0)
@@ -161,5 +167,59 @@ func TestGatewayPublishQueries(t *testing.T) {
 	fi1 := sharedFile(1)
 	if n, ok := query(fi1); n == 0 || !ok {
 		t.Fatalf("day 1: freshly released file %d not served (sources %d, in search %v)", fi1, n, ok)
+	}
+}
+
+// entriesFor is the browse rendering appendSharedFiles replaced, kept as
+// its oracle: one FileEntry per cached file, names as strings.
+func entriesFor(w *workload.World, i int) []protocol.FileEntry {
+	files, _ := w.CacheView(i)
+	out := make([]protocol.FileEntry, 0, len(files))
+	for _, fi := range files {
+		out = append(out, protocol.FileEntry{
+			Hash: w.FileHash(int(fi)),
+			Size: uint64(w.FileSize(int(fi))),
+			Name: w.FileName(int(fi)),
+			Type: w.FileKind(int(fi)).String(),
+		})
+	}
+	return out
+}
+
+// The browse answer rendered straight from the columns is the frame
+// AppendMessage makes of the materialized entries, for every client —
+// appended after whatever the buffer held — and costs no heap object
+// once the buffer has grown.
+func TestBrowseFrameMatchesMaterializedAnswer(t *testing.T) {
+	w, err := workload.New(crawlWorldConfig(34))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(w, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := c.gateway
+	nonEmpty := 0
+	var buf []byte
+	for i := 0; i < w.NumClients(); i++ {
+		want, err := protocol.AppendMessage([]byte("head"), &protocol.SharedFilesAnswer{Files: entriesFor(w, i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = g.appendSharedFiles(append(buf[:0], "head"...), i)
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("client %d: rendered browse frame differs from the materialized answer", i)
+		}
+		if w.CacheSize(i) == 0 {
+			continue
+		}
+		nonEmpty++
+		if n := testing.AllocsPerRun(10, func() { buf = g.appendSharedFiles(buf[:0], i) }); n != 0 {
+			t.Fatalf("client %d: rendering %d entries allocated %v times", i, w.CacheSize(i), n)
+		}
+	}
+	if nonEmpty == 0 {
+		t.Fatal("no client shares anything")
 	}
 }

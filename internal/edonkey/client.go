@@ -220,32 +220,53 @@ func (s *Session) ServerList() ([]protocol.Endpoint, error) {
 // handshake, then AskSharedFiles. It returns ErrUnreachable for
 // firewalled/offline targets and an error for browse-disabled ones.
 func (c *Client) Browse(target protocol.Endpoint) ([]protocol.FileEntry, error) {
+	list, err := c.BrowseList(target)
+	if err != nil {
+		return nil, err
+	}
+	w := protocol.WalkFiles(list)
+	return w.Entries(), nil
+}
+
+// BrowseList is Browse without the decoding: it returns the answer's
+// entry list as it came off the wire, checked to be well formed, in a
+// buffer the caller owns. Walk it with protocol.WalkFiles.
+func (c *Client) BrowseList(target protocol.Endpoint) ([]byte, error) {
 	conn, err := c.net.Dial(target)
 	if err != nil {
 		return nil, err
 	}
 	defer conn.Close()
-	reply, err := request(conn, &protocol.Hello{
+	op, payload, scratch, err := requestFrame(conn, &protocol.Hello{
 		UserHash: c.UserHash,
 		Endpoint: c.Endpoint,
 		Nickname: c.Nickname,
-	}, c.net.DialTimeout)
+	}, nil, c.net.DialTimeout)
+	if err != nil {
+		return nil, err
+	}
+	reply, err := protocol.Decode(op, payload)
 	if err != nil {
 		return nil, err
 	}
 	if _, ok := reply.(*protocol.HelloAnswer); !ok {
 		return nil, fmt.Errorf("edonkey: unexpected hello reply %T", reply)
 	}
-	reply, err = request(conn, &protocol.AskSharedFiles{}, c.net.DialTimeout)
+	op, payload, _, err = requestFrame(conn, &protocol.AskSharedFiles{}, scratch, c.net.DialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	switch r := reply.(type) {
-	case *protocol.SharedFilesAnswer:
-		return r.Files, nil
-	case *protocol.Reject:
-		return nil, fmt.Errorf("edonkey: browse rejected: %s", r.Reason)
-	default:
-		return nil, fmt.Errorf("edonkey: unexpected browse reply %T", reply)
+	if op == protocol.OpSharedFilesAnswer {
+		if err := protocol.CheckFiles(payload); err != nil {
+			return nil, err
+		}
+		return payload, nil
 	}
+	if reply, err = protocol.Decode(op, payload); err != nil {
+		return nil, err
+	}
+	if r, ok := reply.(*protocol.Reject); ok {
+		return nil, fmt.Errorf("edonkey: browse rejected: %s", r.Reason)
+	}
+	return nil, fmt.Errorf("edonkey: unexpected browse reply %T", reply)
 }

@@ -196,6 +196,17 @@ func TestBrowse(t *testing.T) {
 	if len(files) != 1 || files[0].Name != "x.mp3" {
 		t.Fatalf("browse = %+v", files)
 	}
+
+	// BrowseList hands back the same answer undecoded.
+	list, err := crawler.BrowseList(ep(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := protocol.WalkFiles(list)
+	var v protocol.FileView
+	if w.Len() != 1 || !w.Next(&v) || v.Entry() != files[0] || w.Next(&v) || w.Err() != nil {
+		t.Fatalf("browse list walks to %+v (err %v), want %+v", v.Entry(), w.Err(), files[0])
+	}
 }
 
 func TestBrowseDisabled(t *testing.T) {

@@ -129,6 +129,15 @@ func request(conn net.Conn, req protocol.Message, timeout time.Duration) (protoc
 	return protocol.ReadMessage(conn)
 }
 
+// requestFrame is request without decoding the reply: it returns the
+// reply's opcode and payload in scratch (see protocol.ReadFrame).
+func requestFrame(conn net.Conn, req protocol.Message, scratch []byte, timeout time.Duration) (op byte, payload, grown []byte, err error) {
+	if err := send(conn, req, timeout); err != nil {
+		return 0, nil, scratch, err
+	}
+	return protocol.ReadFrame(conn, scratch)
+}
+
 // send writes one message with a deadline and no expected reply.
 func send(conn net.Conn, m protocol.Message, timeout time.Duration) error {
 	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {

@@ -72,15 +72,19 @@ func (s *Server) core() *protocol.ServerCore {
 // directory is the fully lock-free implementation.
 type serverDirectory Server
 
-func (d *serverDirectory) Servers() []protocol.Endpoint {
+func (d *serverDirectory) ForEachServer(yield func(protocol.Endpoint) bool) {
 	d.mu.RLock()
-	defer d.mu.RUnlock()
 	out := make([]protocol.Endpoint, 0, len(d.servers))
 	for ep := range d.servers {
 		out = append(out, ep)
 	}
+	d.mu.RUnlock()
 	slices.SortFunc(out, compareEndpoints)
-	return out
+	for _, ep := range out {
+		if !yield(ep) {
+			return
+		}
+	}
 }
 
 func (d *serverDirectory) UsersWithPrefix(prefix string, yield func(protocol.UserEntry) bool) {
@@ -101,22 +105,27 @@ func (d *serverDirectory) UsersWithPrefix(prefix string, yield func(protocol.Use
 	}
 }
 
-func (d *serverDirectory) SourcesOf(hash [16]byte) []protocol.Endpoint {
+// ForEachSource and ForEachFile sort their map-backed postings into
+// reply order under the read lock and visit them after releasing it.
+func (d *serverDirectory) ForEachSource(hash [16]byte, yield func(protocol.Endpoint) bool) {
 	d.mu.RLock()
-	defer d.mu.RUnlock()
 	var out []protocol.Endpoint
 	if rec, ok := d.files[hash]; ok {
 		for _, ep := range rec.sources {
 			out = append(out, ep)
 		}
-		slices.SortFunc(out, compareEndpoints)
 	}
-	return out
+	d.mu.RUnlock()
+	slices.SortFunc(out, compareEndpoints)
+	for _, ep := range out {
+		if !yield(ep) {
+			return
+		}
+	}
 }
 
-func (d *serverDirectory) SearchFiles(keyword string) []protocol.FileEntry {
+func (d *serverDirectory) ForEachFile(keyword string, yield func(protocol.FileEntry) bool) {
 	d.mu.RLock()
-	defer d.mu.RUnlock()
 	var out []protocol.FileEntry
 	for h := range d.keyword[keyword] {
 		rec := d.files[h]
@@ -124,10 +133,15 @@ func (d *serverDirectory) SearchFiles(keyword string) []protocol.FileEntry {
 		entry.Availability = uint32(len(rec.sources))
 		out = append(out, entry)
 	}
+	d.mu.RUnlock()
 	slices.SortFunc(out, func(a, b protocol.FileEntry) int {
 		return bytes.Compare(a.Hash[:], b.Hash[:])
 	})
-	return out
+	for _, f := range out {
+		if !yield(f) {
+			return
+		}
+	}
 }
 
 func compareEndpoints(a, b protocol.Endpoint) int {

@@ -15,6 +15,9 @@ func appendEndpoint(dst []byte, e Endpoint) []byte {
 	return binary.LittleEndian.AppendUint16(dst, e.Port)
 }
 
+// endpointSize is an encoded Endpoint: IP and port.
+const endpointSize = 6
+
 func readEndpoint(r *reader) (Endpoint, error) {
 	ip, err := r.uint32()
 	if err != nil {
@@ -39,39 +42,25 @@ type FileEntry struct {
 }
 
 func appendFileEntry(dst []byte, f FileEntry) []byte {
-	dst = append(dst, f.Hash[:]...)
-	dst = binary.LittleEndian.AppendUint64(dst, f.Size)
-	dst = binary.LittleEndian.AppendUint32(dst, 3) // tag count
-	dst = appendTag(dst, StringTag(TagName, f.Name))
-	dst = appendTag(dst, StringTag(TagType, f.Type))
-	return appendTag(dst, Uint32Tag(TagAvailability, f.Availability))
+	dst = appendFileHead(dst, &f.Hash, f.Size, len(f.Name))
+	dst = append(dst, f.Name...)
+	return appendFileTail(dst, f.Type, f.Availability)
 }
 
-func readFileEntry(r *reader) (FileEntry, error) {
-	var f FileEntry
-	h, err := r.hash()
-	if err != nil {
-		return f, err
-	}
-	f.Hash = h
-	if f.Size, err = r.uint64(); err != nil {
-		return f, err
-	}
-	tags, err := readTags(r)
-	if err != nil {
-		return f, err
-	}
-	for _, t := range tags {
-		switch {
-		case t.Name == TagName && t.IsString:
-			f.Name = t.Str
-		case t.Name == TagType && t.IsString:
-			f.Type = t.Str
-		case t.Name == TagAvailability && !t.IsString:
-			f.Availability = t.Num
-		}
-	}
-	return f, nil
+// appendFileHead encodes an entry up to the bytes of its name, which the
+// caller appends — from a string or from a scratch buffer — before
+// appendFileTail closes the entry.
+func appendFileHead(dst []byte, hash *[16]byte, size uint64, nameLen int) []byte {
+	dst = append(dst, hash[:]...)
+	dst = binary.LittleEndian.AppendUint64(dst, size)
+	dst = binary.LittleEndian.AppendUint32(dst, 3) // tag count
+	dst = append(dst, tagKindString, TagName)
+	return binary.LittleEndian.AppendUint16(dst, uint16(nameLen))
+}
+
+func appendFileTail(dst []byte, typ string, avail uint32) []byte {
+	dst = appendTag(dst, StringTag(TagType, typ))
+	return appendTag(dst, Uint32Tag(TagAvailability, avail))
 }
 
 func appendFileEntries(dst []byte, files []FileEntry) []byte {
@@ -82,23 +71,128 @@ func appendFileEntries(dst []byte, files []FileEntry) []byte {
 	return dst
 }
 
-func readFileEntries(r *reader) ([]FileEntry, error) {
-	n, err := r.uint32()
+// minFileEntrySize is the shortest encoded entry: hash, size and an
+// empty tag list.
+const minFileEntrySize = 16 + 8 + 4
+
+// FileView is one entry of an encoded list read in place. Name and Type
+// alias the list's bytes and are valid as long as those are.
+type FileView struct {
+	Hash         [16]byte
+	Size         uint64
+	Name, Type   []byte
+	Availability uint32
+}
+
+// Entry copies the view into a FileEntry that owns its strings.
+func (v *FileView) Entry() FileEntry {
+	return FileEntry{Hash: v.Hash, Size: v.Size, Name: string(v.Name), Type: string(v.Type), Availability: v.Availability}
+}
+
+// FileWalker walks the encoded entry list of an OfferFiles, SearchResult
+// or SharedFilesAnswer payload without materializing it: no FileEntry,
+// no tag slice, no string. Next stops at the first malformed entry and
+// Err says why.
+type FileWalker struct {
+	r    reader
+	left int
+	err  error
+}
+
+// WalkFiles starts a walk over list, the whole payload of one of the
+// three list-carrying messages.
+func WalkFiles(list []byte) FileWalker { return walkFilesAt(reader{buf: list}) }
+
+// walkFilesAt starts a walk at r's position.
+func walkFilesAt(r reader) FileWalker {
+	w := FileWalker{r: r}
+	w.left, w.err = w.r.count(minFileEntrySize)
+	return w
+}
+
+// Len returns how many entries the list still declares; it is never
+// more than the remaining bytes could hold.
+func (w *FileWalker) Len() int { return w.left }
+
+// Next reads the next entry into v and reports whether there was one.
+func (w *FileWalker) Next(v *FileView) bool {
+	if w.left == 0 || w.err != nil {
+		return false
+	}
+	if w.err = w.entry(v); w.err != nil {
+		return false
+	}
+	w.left--
+	return true
+}
+
+func (w *FileWalker) entry(v *FileView) (err error) {
+	r := &w.r
+	if v.Hash, err = r.hash(); err != nil {
+		return err
+	}
+	if v.Size, err = r.uint64(); err != nil {
+		return err
+	}
+	tags, err := r.count(minTagSize)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if n > MaxMessageSize/25 {
-		return nil, ErrTooLarge
-	}
-	files := make([]FileEntry, 0, n)
-	for i := uint32(0); i < n; i++ {
-		f, err := readFileEntry(r)
+	v.Name, v.Type, v.Availability = nil, nil, 0
+	for ; tags > 0; tags-- {
+		t, err := r.tag()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		files = append(files, f)
+		switch {
+		case t.name == TagName && t.isString:
+			v.Name = t.str
+		case t.name == TagType && t.isString:
+			v.Type = t.str
+		case t.name == TagAvailability && !t.isString:
+			v.Availability = t.num
+		}
 	}
-	return files, nil
+	return nil
+}
+
+// Entries walks to the end and returns the entries visited on the way as
+// FileEntry values that own their strings.
+func (w *FileWalker) Entries() []FileEntry {
+	files := make([]FileEntry, 0, w.left)
+	var v FileView
+	for w.Next(&v) {
+		files = append(files, v.Entry())
+	}
+	return files
+}
+
+// Err returns the error that stopped the walk, or, once every entry has
+// been visited, an error if bytes trail the last one.
+func (w *FileWalker) Err() error {
+	if w.err == nil && w.left == 0 {
+		return w.r.done()
+	}
+	return w.err
+}
+
+// CheckFiles walks list to its end and returns what stopped the walk, nil
+// for a well-formed list.
+func CheckFiles(list []byte) error {
+	w := WalkFiles(list)
+	var v FileView
+	for w.Next(&v) {
+	}
+	return w.Err()
+}
+
+// readFileEntries materializes the list at r's position through the
+// walker and leaves r after it.
+func readFileEntries(r *reader) ([]FileEntry, error) {
+	w := walkFilesAt(*r)
+	files := w.Entries()
+	*r = w.r
+	return files, w.err
 }
 
 // UserEntry describes one client in a user-search reply.
@@ -115,6 +209,10 @@ func appendUserEntry(dst []byte, u UserEntry) []byte {
 	dst = appendEndpoint(dst, u.Endpoint)
 	return appendString(dst, u.Nickname)
 }
+
+// minUserEntrySize is the shortest encoded entry: hash, client ID,
+// endpoint and an empty nickname.
+const minUserEntrySize = 16 + 4 + endpointSize + 2
 
 // LoginRequest is sent by a client right after connecting to a server.
 type LoginRequest struct {
@@ -134,28 +232,31 @@ func (m *LoginRequest) appendPayload(dst []byte) []byte {
 	return appendTag(dst, Uint32Tag(TagVersion, m.Version))
 }
 
-func decodeLoginRequest(r *reader) (Message, error) {
-	var m LoginRequest
-	var err error
+func (m *LoginRequest) decode(r *reader) (err error) {
+	*m = LoginRequest{}
 	if m.UserHash, err = r.hash(); err != nil {
-		return nil, err
+		return err
 	}
 	if m.Endpoint, err = readEndpoint(r); err != nil {
-		return nil, err
+		return err
 	}
-	tags, err := readTags(r)
+	tags, err := r.count(minTagSize)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	for _, t := range tags {
+	for ; tags > 0; tags-- {
+		t, err := r.tag()
+		if err != nil {
+			return err
+		}
 		switch {
-		case t.Name == TagNickname && t.IsString:
-			m.Nickname = t.Str
-		case t.Name == TagVersion && !t.IsString:
-			m.Version = t.Num
+		case t.name == TagNickname && t.isString:
+			m.Nickname = r.str(t.str)
+		case t.name == TagVersion && !t.isString:
+			m.Version = t.num
 		}
 	}
-	return &m, nil
+	return nil
 }
 
 // Reject answers a request the peer refuses (e.g. browsing disabled).
@@ -165,12 +266,9 @@ func (*Reject) Opcode() byte { return OpReject }
 
 func (m *Reject) appendPayload(dst []byte) []byte { return appendString(dst, m.Reason) }
 
-func decodeReject(r *reader) (Message, error) {
-	s, err := r.string()
-	if err != nil {
-		return nil, err
-	}
-	return &Reject{Reason: s}, nil
+func (m *Reject) decode(r *reader) (err error) {
+	m.Reason, err = r.string()
+	return err
 }
 
 // GetServerList asks a server for the other servers it knows — the only
@@ -180,8 +278,6 @@ type GetServerList struct{}
 func (*GetServerList) Opcode() byte { return OpGetServerList }
 
 func (*GetServerList) appendPayload(dst []byte) []byte { return dst }
-
-func decodeGetServerList(*reader) (Message, error) { return &GetServerList{}, nil }
 
 // ServerList carries known server endpoints.
 type ServerList struct{ Servers []Endpoint }
@@ -196,23 +292,24 @@ func (m *ServerList) appendPayload(dst []byte) []byte {
 	return dst
 }
 
-func decodeServerList(r *reader) (Message, error) {
-	n, err := r.uint32()
-	if err != nil {
+func (m *ServerList) decode(r *reader) (err error) {
+	m.Servers, err = readEndpoints(r)
+	return err
+}
+
+// readEndpoints reads a counted endpoint list.
+func readEndpoints(r *reader) ([]Endpoint, error) {
+	n, err := r.count(endpointSize)
+	if err != nil || n == 0 {
 		return nil, err
 	}
-	if n > MaxMessageSize/6 {
-		return nil, ErrTooLarge
-	}
-	m := &ServerList{Servers: make([]Endpoint, 0, n)}
-	for i := uint32(0); i < n; i++ {
-		e, err := readEndpoint(r)
-		if err != nil {
+	eps := make([]Endpoint, n)
+	for i := range eps {
+		if eps[i], err = readEndpoint(r); err != nil {
 			return nil, err
 		}
-		m.Servers = append(m.Servers, e)
 	}
-	return m, nil
+	return eps, nil
 }
 
 // OfferFiles publishes the client's cache contents to its server.
@@ -222,12 +319,9 @@ func (*OfferFiles) Opcode() byte { return OpOfferFiles }
 
 func (m *OfferFiles) appendPayload(dst []byte) []byte { return appendFileEntries(dst, m.Files) }
 
-func decodeOfferFiles(r *reader) (Message, error) {
-	files, err := readFileEntries(r)
-	if err != nil {
-		return nil, err
-	}
-	return &OfferFiles{Files: files}, nil
+func (m *OfferFiles) decode(r *reader) (err error) {
+	m.Files, err = readFileEntries(r)
+	return err
 }
 
 // SearchRequest is a (simplified single-keyword) file search.
@@ -237,12 +331,9 @@ func (*SearchRequest) Opcode() byte { return OpSearchRequest }
 
 func (m *SearchRequest) appendPayload(dst []byte) []byte { return appendString(dst, m.Keyword) }
 
-func decodeSearchRequest(r *reader) (Message, error) {
-	s, err := r.string()
-	if err != nil {
-		return nil, err
-	}
-	return &SearchRequest{Keyword: s}, nil
+func (m *SearchRequest) decode(r *reader) (err error) {
+	m.Keyword, err = r.string()
+	return err
 }
 
 // SearchResult carries matching files.
@@ -252,12 +343,9 @@ func (*SearchResult) Opcode() byte { return OpSearchResult }
 
 func (m *SearchResult) appendPayload(dst []byte) []byte { return appendFileEntries(dst, m.Files) }
 
-func decodeSearchResult(r *reader) (Message, error) {
-	files, err := readFileEntries(r)
-	if err != nil {
-		return nil, err
-	}
-	return &SearchResult{Files: files}, nil
+func (m *SearchResult) decode(r *reader) (err error) {
+	m.Files, err = readFileEntries(r)
+	return err
 }
 
 // GetSources asks the server for sources of a file.
@@ -267,12 +355,9 @@ func (*GetSources) Opcode() byte { return OpGetSources }
 
 func (m *GetSources) appendPayload(dst []byte) []byte { return append(dst, m.Hash[:]...) }
 
-func decodeGetSources(r *reader) (Message, error) {
-	h, err := r.hash()
-	if err != nil {
-		return nil, err
-	}
-	return &GetSources{Hash: h}, nil
+func (m *GetSources) decode(r *reader) (err error) {
+	m.Hash, err = r.hash()
+	return err
 }
 
 // FoundSources answers GetSources.
@@ -292,27 +377,12 @@ func (m *FoundSources) appendPayload(dst []byte) []byte {
 	return dst
 }
 
-func decodeFoundSources(r *reader) (Message, error) {
-	m := &FoundSources{}
-	var err error
+func (m *FoundSources) decode(r *reader) (err error) {
 	if m.Hash, err = r.hash(); err != nil {
-		return nil, err
+		return err
 	}
-	n, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if n > MaxMessageSize/6 {
-		return nil, ErrTooLarge
-	}
-	for i := uint32(0); i < n; i++ {
-		e, err := readEndpoint(r)
-		if err != nil {
-			return nil, err
-		}
-		m.Sources = append(m.Sources, e)
-	}
-	return m, nil
+	m.Sources, err = readEndpoints(r)
+	return err
 }
 
 // SearchUser asks the server for users whose nickname starts with the
@@ -323,12 +393,9 @@ func (*SearchUser) Opcode() byte { return OpSearchUser }
 
 func (m *SearchUser) appendPayload(dst []byte) []byte { return appendString(dst, m.Query) }
 
-func decodeSearchUser(r *reader) (Message, error) {
-	s, err := r.string()
-	if err != nil {
-		return nil, err
-	}
-	return &SearchUser{Query: s}, nil
+func (m *SearchUser) decode(r *reader) (err error) {
+	m.Query, err = r.string()
+	return err
 }
 
 // SearchUserResult answers SearchUser with at most the server's reply cap
@@ -345,32 +412,28 @@ func (m *SearchUserResult) appendPayload(dst []byte) []byte {
 	return dst
 }
 
-func decodeSearchUserResult(r *reader) (Message, error) {
-	n, err := r.uint32()
+func (m *SearchUserResult) decode(r *reader) error {
+	n, err := r.count(minUserEntrySize)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if n > MaxMessageSize/27 {
-		return nil, ErrTooLarge
-	}
-	m := &SearchUserResult{Users: make([]UserEntry, 0, n)}
-	for i := uint32(0); i < n; i++ {
-		var u UserEntry
+	m.Users = make([]UserEntry, n)
+	for i := range m.Users {
+		u := &m.Users[i]
 		if u.Hash, err = r.hash(); err != nil {
-			return nil, err
+			return err
 		}
 		if u.ClientID, err = r.uint32(); err != nil {
-			return nil, err
+			return err
 		}
 		if u.Endpoint, err = readEndpoint(r); err != nil {
-			return nil, err
+			return err
 		}
 		if u.Nickname, err = r.string(); err != nil {
-			return nil, err
+			return err
 		}
-		m.Users = append(m.Users, u)
 	}
-	return m, nil
+	return nil
 }
 
 // ServerStatus reports user and file counts.
@@ -386,16 +449,12 @@ func (m *ServerStatus) appendPayload(dst []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, m.Files)
 }
 
-func decodeServerStatus(r *reader) (Message, error) {
-	m := &ServerStatus{}
-	var err error
+func (m *ServerStatus) decode(r *reader) (err error) {
 	if m.Users, err = r.uint32(); err != nil {
-		return nil, err
+		return err
 	}
-	if m.Files, err = r.uint32(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	m.Files, err = r.uint32()
+	return err
 }
 
 // IDChange tells a freshly logged-in client its server-assigned ID.
@@ -411,12 +470,9 @@ func (m *IDChange) appendPayload(dst []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, m.ClientID)
 }
 
-func decodeIDChange(r *reader) (Message, error) {
-	id, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	return &IDChange{ClientID: id}, nil
+func (m *IDChange) decode(r *reader) (err error) {
+	m.ClientID, err = r.uint32()
+	return err
 }
 
 // Hello opens a client-client session.
@@ -434,19 +490,15 @@ func (m *Hello) appendPayload(dst []byte) []byte {
 	return appendString(dst, m.Nickname)
 }
 
-func decodeHello(r *reader) (Message, error) {
-	m := &Hello{}
-	var err error
+func (m *Hello) decode(r *reader) (err error) {
 	if m.UserHash, err = r.hash(); err != nil {
-		return nil, err
+		return err
 	}
 	if m.Endpoint, err = readEndpoint(r); err != nil {
-		return nil, err
+		return err
 	}
-	if m.Nickname, err = r.string(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	m.Nickname, err = r.string()
+	return err
 }
 
 // HelloAnswer completes the client-client handshake.
@@ -462,16 +514,12 @@ func (m *HelloAnswer) appendPayload(dst []byte) []byte {
 	return appendString(dst, m.Nickname)
 }
 
-func decodeHelloAnswer(r *reader) (Message, error) {
-	m := &HelloAnswer{}
-	var err error
+func (m *HelloAnswer) decode(r *reader) (err error) {
 	if m.UserHash, err = r.hash(); err != nil {
-		return nil, err
+		return err
 	}
-	if m.Nickname, err = r.string(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	m.Nickname, err = r.string()
+	return err
 }
 
 // AskSharedFiles requests the peer's cache listing (browse). Users could
@@ -483,8 +531,6 @@ func (*AskSharedFiles) Opcode() byte { return OpAskSharedFiles }
 
 func (*AskSharedFiles) appendPayload(dst []byte) []byte { return dst }
 
-func decodeAskSharedFiles(*reader) (Message, error) { return &AskSharedFiles{}, nil }
-
 // SharedFilesAnswer lists the peer's shared files.
 type SharedFilesAnswer struct{ Files []FileEntry }
 
@@ -492,10 +538,7 @@ func (*SharedFilesAnswer) Opcode() byte { return OpSharedFilesAnswer }
 
 func (m *SharedFilesAnswer) appendPayload(dst []byte) []byte { return appendFileEntries(dst, m.Files) }
 
-func decodeSharedFilesAnswer(r *reader) (Message, error) {
-	files, err := readFileEntries(r)
-	if err != nil {
-		return nil, err
-	}
-	return &SharedFilesAnswer{Files: files}, nil
+func (m *SharedFilesAnswer) decode(r *reader) (err error) {
+	m.Files, err = readFileEntries(r)
+	return err
 }

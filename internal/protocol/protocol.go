@@ -18,7 +18,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
+	"unsafe"
 )
 
 // ProtoMarker starts every frame, as in eDonkey.
@@ -101,58 +103,35 @@ func appendTag(dst []byte, t Tag) []byte {
 	return binary.LittleEndian.AppendUint32(dst, t.Num)
 }
 
-func readTag(r *reader) (Tag, error) {
+// tagView is one tag read in place: a string value aliases the frame.
+type tagView struct {
+	name     byte
+	isString bool
+	str      []byte
+	num      uint32
+}
+
+// minTagSize is the shortest encoded tag: kind, name and an empty string.
+const minTagSize = 4
+
+func (r *reader) tag() (t tagView, err error) {
 	kind, err := r.byte()
 	if err != nil {
-		return Tag{}, err
+		return t, err
 	}
-	name, err := r.byte()
-	if err != nil {
-		return Tag{}, err
+	if t.name, err = r.byte(); err != nil {
+		return t, err
 	}
 	switch kind {
 	case tagKindString:
-		s, err := r.string()
-		if err != nil {
-			return Tag{}, err
-		}
-		return Tag{Name: name, IsString: true, Str: s}, nil
+		t.isString = true
+		t.str, err = r.bytes16()
 	case tagKindUint32:
-		v, err := r.uint32()
-		if err != nil {
-			return Tag{}, err
-		}
-		return Tag{Name: name, Num: v}, nil
+		t.num, err = r.uint32()
 	default:
-		return Tag{}, errBadTagKind
+		err = errBadTagKind
 	}
-}
-
-func appendTags(dst []byte, tags []Tag) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(tags)))
-	for _, t := range tags {
-		dst = appendTag(dst, t)
-	}
-	return dst
-}
-
-func readTags(r *reader) ([]Tag, error) {
-	n, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if n > MaxMessageSize/6 {
-		return nil, ErrTooLarge
-	}
-	tags := make([]Tag, 0, n)
-	for i := uint32(0); i < n; i++ {
-		t, err := readTag(r)
-		if err != nil {
-			return nil, err
-		}
-		tags = append(tags, t)
-	}
-	return tags, nil
+	return t, err
 }
 
 func appendString(dst []byte, s string) []byte {
@@ -164,6 +143,10 @@ func appendString(dst []byte, s string) []byte {
 type reader struct {
 	buf []byte
 	off int
+	// alias makes string() return views of buf instead of copies: the
+	// request decoder's mode, whose messages live only until its next
+	// read.
+	alias bool
 }
 
 func (r *reader) byte() (byte, error) {
@@ -212,17 +195,46 @@ func (r *reader) hash() ([16]byte, error) {
 	return h, nil
 }
 
-func (r *reader) string() (string, error) {
+// bytes16 returns a length-prefixed string as a view of the payload.
+func (r *reader) bytes16() ([]byte, error) {
 	n, err := r.uint16()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if int(n) > len(r.buf)-r.off {
-		return "", errStringSize
+		return nil, errStringSize
 	}
-	s := string(r.buf[r.off : r.off+int(n)])
+	b := r.buf[r.off : r.off+int(n)]
 	r.off += int(n)
-	return s, nil
+	return b, nil
+}
+
+// str turns a view of the payload into a string: a copy, or in alias
+// mode the view itself.
+func (r *reader) str(b []byte) string {
+	if r.alias {
+		return unsafe.String(unsafe.SliceData(b), len(b))
+	}
+	return string(b)
+}
+
+func (r *reader) string() (string, error) {
+	b, err := r.bytes16()
+	return r.str(b), err
+}
+
+// count reads an element count and checks it against what the rest of
+// the payload could hold at minSize bytes an element, so a count that
+// lies cannot make a decoder reserve more than the frame it arrived in.
+func (r *reader) count(minSize int) (int, error) {
+	n, err := r.uint32()
+	if err != nil {
+		return 0, err
+	}
+	if int64(n) > int64((len(r.buf)-r.off)/minSize) {
+		return 0, ErrTruncated
+	}
+	return int(n), nil
 }
 
 func (r *reader) done() error {
@@ -291,59 +303,126 @@ func ReadMessage(r io.Reader) (Message, error) {
 // hashes are copied by the decoders — so one buffer per connection
 // serves the whole session without a per-frame allocation.
 func ReadMessageInto(r io.Reader, scratch []byte) (Message, []byte, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, scratch, err
-	}
-	if hdr[0] != ProtoMarker {
-		return nil, scratch, ErrBadMarker
-	}
-	size := binary.LittleEndian.Uint32(hdr[1:])
-	if size == 0 {
-		return nil, scratch, ErrTruncated
-	}
-	if size > MaxMessageSize {
-		return nil, scratch, ErrTooLarge
-	}
-	if uint32(cap(scratch)) < size {
-		scratch = make([]byte, size)
-	}
-	body := scratch[:size]
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, scratch, err
-	}
-	op := body[0]
-	rd := &reader{buf: body[1:]}
-	decode, ok := decoders[op]
-	if !ok {
-		return nil, scratch, fmt.Errorf("%w: 0x%02X", ErrUnknownOp, op)
-	}
-	m, err := decode(rd)
+	op, payload, scratch, err := ReadFrame(r, scratch)
 	if err != nil {
 		return nil, scratch, err
 	}
-	if err := rd.done(); err != nil {
-		return nil, scratch, err
-	}
-	return m, scratch, nil
+	m, err := Decode(op, payload)
+	return m, scratch, err
 }
 
-var decoders = map[byte]func(*reader) (Message, error){
-	OpLoginRequest:      decodeLoginRequest,
-	OpReject:            decodeReject,
-	OpGetServerList:     decodeGetServerList,
-	OpOfferFiles:        decodeOfferFiles,
-	OpSearchRequest:     decodeSearchRequest,
-	OpGetSources:        decodeGetSources,
-	OpSearchUser:        decodeSearchUser,
-	OpServerList:        decodeServerList,
-	OpSearchResult:      decodeSearchResult,
-	OpServerStatus:      decodeServerStatus,
-	OpSearchUserResult:  decodeSearchUserResult,
-	OpIDChange:          decodeIDChange,
-	OpFoundSources:      decodeFoundSources,
-	OpAskSharedFiles:    decodeAskSharedFiles,
-	OpSharedFilesAnswer: decodeSharedFilesAnswer,
-	OpHello:             decodeHello,
-	OpHelloAnswer:       decodeHelloAnswer,
+// readChunk is how much of a frame's declared size is reserved before
+// any of its body has arrived; past it the buffer grows only as fast as
+// the peer actually sends, so a header that lies about its size costs
+// the receiver a chunk, not MaxMessageSize.
+const readChunk = 64 << 10
+
+// ReadFrame reads one frame without decoding it and returns its opcode
+// and payload. The payload aliases the returned scratch, which is the
+// buffer to pass to the next call: the header is read into it too, so a
+// connection that keeps its scratch reads frames without allocating.
+func ReadFrame(r io.Reader, scratch []byte) (op byte, payload, grown []byte, err error) {
+	if cap(scratch) < frameHeaderSize {
+		scratch = make([]byte, 0, 64)
+	}
+	hdr := scratch[:frameHeaderSize]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return 0, nil, scratch, err
+	}
+	if hdr[0] != ProtoMarker {
+		return 0, nil, scratch, ErrBadMarker
+	}
+	size := int(binary.LittleEndian.Uint32(hdr[1:]))
+	if size == 0 {
+		return 0, nil, scratch, ErrTruncated
+	}
+	if size > MaxMessageSize {
+		return 0, nil, scratch, ErrTooLarge
+	}
+	body := scratch[:0]
+	if first := min(size, readChunk); cap(body) < first {
+		body = make([]byte, 0, first)
+	}
+	for {
+		n := min(size, cap(body))
+		if _, err := io.ReadFull(r, body[len(body):n]); err != nil {
+			return 0, nil, body, err
+		}
+		body = body[:n]
+		if n == size {
+			return body[0], body[1:], body, nil
+		}
+		body = slices.Grow(body, min(size-n, n))
+	}
+}
+
+// Decode decodes the payload of a frame with the given opcode. The
+// message owns its memory: nothing in it aliases payload.
+func Decode(op byte, payload []byte) (Message, error) {
+	r := reader{buf: payload}
+	m, err := decodeAny(op, &r)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.done(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// decodeAny dispatches on the opcode with direct calls, so the reader
+// stays on the caller's stack.
+func decodeAny(op byte, r *reader) (Message, error) {
+	switch op {
+	case OpLoginRequest:
+		m := new(LoginRequest)
+		return m, m.decode(r)
+	case OpReject:
+		m := new(Reject)
+		return m, m.decode(r)
+	case OpGetServerList:
+		return &GetServerList{}, nil
+	case OpOfferFiles:
+		m := new(OfferFiles)
+		return m, m.decode(r)
+	case OpSearchRequest:
+		m := new(SearchRequest)
+		return m, m.decode(r)
+	case OpGetSources:
+		m := new(GetSources)
+		return m, m.decode(r)
+	case OpSearchUser:
+		m := new(SearchUser)
+		return m, m.decode(r)
+	case OpServerList:
+		m := new(ServerList)
+		return m, m.decode(r)
+	case OpSearchResult:
+		m := new(SearchResult)
+		return m, m.decode(r)
+	case OpServerStatus:
+		m := new(ServerStatus)
+		return m, m.decode(r)
+	case OpSearchUserResult:
+		m := new(SearchUserResult)
+		return m, m.decode(r)
+	case OpIDChange:
+		m := new(IDChange)
+		return m, m.decode(r)
+	case OpFoundSources:
+		m := new(FoundSources)
+		return m, m.decode(r)
+	case OpAskSharedFiles:
+		return &AskSharedFiles{}, nil
+	case OpSharedFilesAnswer:
+		m := new(SharedFilesAnswer)
+		return m, m.decode(r)
+	case OpHello:
+		m := new(Hello)
+		return m, m.decode(r)
+	case OpHelloAnswer:
+		m := new(HelloAnswer)
+		return m, m.decode(r)
+	}
+	return nil, fmt.Errorf("%w: 0x%02X", ErrUnknownOp, op)
 }

@@ -9,6 +9,7 @@ import (
 	"math/rand/v2"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -41,6 +42,20 @@ var testSnap = sync.OnceValue(func() *Snapshot {
 	return SnapshotFromWorld(w, w.Day())
 })
 
+// someQuery picks the file hash and keyword the tests and benchmarks
+// query for, the same on every run: the smallest published hash and the
+// first token of that file's name (an adjective from the word pool, so
+// the search reply is a twelfth of the catalogue).
+func someQuery(snap *Snapshot) (hash [16]byte, kw string) {
+	fi := 0
+	for k := range snap.fileHash {
+		if bytes.Compare(snap.fileHash[k][:], snap.fileHash[fi][:]) < 0 {
+			fi = k
+		}
+	}
+	return snap.fileHash[fi], tokenize(snap.fileName[fi])[0]
+}
+
 // corpus returns a request mix covering every reply shape: empty and
 // truncated user sweeps, hit and miss source/keyword queries, the
 // server list, logins and requests the first tier rejects.
@@ -49,16 +64,7 @@ func corpus(t testing.TB) []protocol.Message {
 	if snap.NumUsers() == 0 || snap.NumFiles() == 0 {
 		t.Fatal("test snapshot is empty")
 	}
-	var hit [16]byte
-	var kw string
-	for h := range snap.byHash {
-		hit = h
-		break
-	}
-	for k := range snap.keyword {
-		kw = k
-		break
-	}
+	hit, kw := someQuery(snap)
 	var miss [16]byte
 	miss[0] = 0xFF
 	return []protocol.Message{
@@ -150,53 +156,72 @@ func replyStream(t *testing.T, conn net.Conn, reqs []protocol.Message) []byte {
 }
 
 // TestPipeAndTCPRepliesByteIdentical drives the same request sequence
-// through every serving surface — the in-process pipe path and a real
-// TCP connection, each in both the hot-path and legacy configurations —
-// and requires the four reply byte streams to be identical.
+// through both serving surfaces — the in-process pipe path and a real
+// TCP connection — and requires the reply byte streams to be identical,
+// and identical to what ServerCore.Handle + WriteMessage renders.
 func TestPipeAndTCPRepliesByteIdentical(t *testing.T) {
 	reqs := append(corpus(t), &protocol.OfferFiles{Files: []protocol.FileEntry{{Name: "x.mp3", Size: 1}}}, &protocol.SearchUser{Query: "b"})
-	var streams [][]byte
-	var labels []string
-	for _, legacy := range []bool{false, true} {
-		srv := New(testSnap(), Config{Legacy: legacy})
+	srv := New(testSnap(), Config{})
 
-		pc, ps := net.Pipe()
-		go srv.ServeConn(ps)
-		pc.SetDeadline(time.Now().Add(30 * time.Second))
-		streams = append(streams, replyStream(t, pc, reqs))
-		labels = append(labels, fmt.Sprintf("pipe/legacy=%v", legacy))
-		pc.Close()
+	pc, ps := net.Pipe()
+	go srv.ServeConn(ps)
+	pc.SetDeadline(time.Now().Add(30 * time.Second))
+	viaPipe := replyStream(t, pc, reqs)
+	pc.Close()
 
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { srv.Serve(ln); close(done) }()
+	tc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.SetDeadline(time.Now().Add(30 * time.Second))
+	viaTCP := replyStream(t, tc, reqs)
+	tc.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	<-done
+
+	if !bytes.Equal(viaPipe, viaTCP) {
+		t.Fatalf("pipe and TCP reply streams differ (%d vs %d bytes)", len(viaPipe), len(viaTCP))
+	}
+	if want := referenceStream(t, reqs); !bytes.Equal(viaPipe, want) {
+		t.Fatalf("served reply stream differs from Handle + WriteMessage (%d vs %d bytes)", len(viaPipe), len(want))
+	}
+}
+
+// referenceStream renders the replies the server owes reqs through the
+// materializing reference path: the session's own IDChange and Reject,
+// ServerCore.Handle for the rest, each written with WriteMessage.
+func referenceStream(t *testing.T, reqs []protocol.Message) []byte {
+	t.Helper()
+	core := protocol.ServerCore{Dir: testSnap(), MaxUserReplies: 200, SupportsUserSearch: true}
+	var want bytes.Buffer
+	for _, req := range reqs {
+		var reply protocol.Message
+		switch m := req.(type) {
+		case *protocol.LoginRequest:
+			reply = &protocol.IDChange{ClientID: highID(m.Endpoint.IP)}
+		case *protocol.OfferFiles:
+			continue
+		default:
+			var handled bool
+			if reply, handled = core.Handle(req); !handled {
+				reply = &protocol.Reject{Reason: "unsupported request"}
+			}
+		}
+		if err := protocol.WriteMessage(&want, reply); err != nil {
 			t.Fatal(err)
 		}
-		done := make(chan struct{})
-		go func() { srv.Serve(ln); close(done) }()
-		tc, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.SetDeadline(time.Now().Add(30 * time.Second))
-		streams = append(streams, replyStream(t, tc, reqs))
-		labels = append(labels, fmt.Sprintf("tcp/legacy=%v", legacy))
-		tc.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Fatalf("shutdown: %v", err)
-		}
-		cancel()
-		<-done
 	}
-	for i := 1; i < len(streams); i++ {
-		if !bytes.Equal(streams[0], streams[i]) {
-			t.Fatalf("reply stream %s differs from %s (%d vs %d bytes)",
-				labels[i], labels[0], len(streams[i]), len(streams[0]))
-		}
-	}
-	if len(streams[0]) == 0 {
-		t.Fatal("empty reply streams")
-	}
+	return want.Bytes()
 }
 
 // TestServeStress runs 256 concurrent TCP sessions of mixed traffic
@@ -206,11 +231,7 @@ func TestPipeAndTCPRepliesByteIdentical(t *testing.T) {
 func TestServeStress(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	snap := testSnap()
-	var someHash [16]byte
-	for h := range snap.byHash {
-		someHash = h
-		break
-	}
+	someHash, _ := someQuery(snap)
 	srv := New(snap, Config{MaxConns: 512})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -227,7 +248,7 @@ func TestServeStress(t *testing.T) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			errc <- session(ln.Addr().String(), s, perSession, someHash)
+			errc <- stressSession(ln.Addr().String(), s, perSession, someHash)
 		}(s)
 	}
 	wg.Wait()
@@ -272,9 +293,9 @@ func TestServeStress(t *testing.T) {
 	}
 }
 
-// session runs one stress connection: login first, then a mixed
+// stressSession runs one stress connection: login first, then a mixed
 // request sequence with reply-shape validation.
-func session(addr string, id, n int, someHash [16]byte) error {
+func stressSession(addr string, id, n int, someHash [16]byte) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return err
@@ -346,8 +367,8 @@ func session(addr string, id, n int, someHash [16]byte) error {
 }
 
 // TestSnapshotDirectory pins the snapshot's directory semantics: sweep
-// order and cap, source ordering, streamer/slice agreement and keyword
-// availability.
+// order and cap, source ordering and early stop, keyword availability
+// and the SearchFiles collector.
 func TestSnapshotDirectory(t *testing.T) {
 	snap := testSnap()
 
@@ -375,38 +396,38 @@ func TestSnapshotDirectory(t *testing.T) {
 		return true
 	})
 
-	// Every published file: SourcesOf agrees with ForEachSource, spans
-	// are (IP, port)-sorted and availability matches the span length.
+	// Every published file: source spans are (IP, port)-sorted,
+	// availability matches the span length and the visit stops when told.
 	for hash, fi := range snap.byHash {
-		viaSlice := snap.SourcesOf(hash)
-		var viaStream []protocol.Endpoint
+		var sources []protocol.Endpoint
 		snap.ForEachSource(hash, func(ep protocol.Endpoint) bool {
-			viaStream = append(viaStream, ep)
+			sources = append(sources, ep)
 			return true
 		})
-		if len(viaSlice) != len(viaStream) {
-			t.Fatalf("file %x: slice %d vs stream %d sources", hash[:4], len(viaSlice), len(viaStream))
+		if int(snap.avail[fi]) != len(sources) {
+			t.Fatalf("file %x: availability %d, %d sources", hash[:4], snap.avail[fi], len(sources))
 		}
-		for i := range viaSlice {
-			if viaSlice[i] != viaStream[i] {
-				t.Fatalf("file %x: source %d differs", hash[:4], i)
-			}
-		}
-		if int(snap.avail[fi]) != len(viaSlice) {
-			t.Fatalf("file %x: availability %d, %d sources", hash[:4], snap.avail[fi], len(viaSlice))
-		}
-		for i := 1; i < len(viaSlice); i++ {
-			a, b := viaSlice[i-1], viaSlice[i]
+		for i := 1; i < len(sources); i++ {
+			a, b := sources[i-1], sources[i]
 			if a.IP > b.IP || (a.IP == b.IP && a.Port > b.Port) {
 				t.Fatalf("file %x: sources out of order", hash[:4])
 			}
 		}
+		visits := 0
+		snap.ForEachSource(hash, func(protocol.Endpoint) bool { visits++; return false })
+		if visits != 1 {
+			t.Fatalf("file %x: visit went on after yield returned false (%d visits)", hash[:4], visits)
+		}
 	}
 
-	// Keyword search returns hash-sorted entries that all contain the
-	// token and carry the indexed availability.
+	// Every keyword: ForEachFile visits hash-sorted entries that carry
+	// the indexed availability, and SearchFiles collects exactly those.
 	for kw := range snap.keyword {
-		files := snap.SearchFiles(kw)
+		var files []protocol.FileEntry
+		snap.ForEachFile(kw, func(f protocol.FileEntry) bool {
+			files = append(files, f)
+			return true
+		})
 		if len(files) == 0 {
 			t.Fatalf("indexed keyword %q found nothing", kw)
 		}
@@ -418,7 +439,12 @@ func TestSnapshotDirectory(t *testing.T) {
 				t.Fatalf("keyword %q: zero availability for %q", kw, f.Name)
 			}
 		}
-		break // one keyword suffices; the loop body is O(files)
+		if got := snap.SearchFiles(kw); !slices.Equal(got, files) {
+			t.Fatalf("keyword %q: SearchFiles returned %d entries, ForEachFile visited %d", kw, len(got), len(files))
+		}
+	}
+	if got := snap.SearchFiles("no_such_keyword"); got != nil {
+		t.Fatalf("SearchFiles on a miss returned %d entries", len(got))
 	}
 }
 
@@ -447,4 +473,214 @@ func TestSnapshotEpochSwap(t *testing.T) {
 		t.Fatalf("post-swap sweep: got %x, want empty result", after)
 	}
 	_ = w
+}
+
+// TestAppendReplyZeroAllocs pins the render side of the serving path:
+// with room in the buffer, a server list, a capped user sweep, a source
+// list and a search result are each rendered from the snapshot's columns
+// without one heap object.
+func TestAppendReplyZeroAllocs(t *testing.T) {
+	snap := testSnap()
+	hit, kw := someQuery(snap)
+	core := &protocol.ServerCore{Dir: snap, MaxUserReplies: 200, SupportsUserSearch: true}
+	buf := make([]byte, 0, 1<<20)
+	for _, req := range []protocol.Message{
+		&protocol.GetServerList{},
+		&protocol.SearchUser{Query: "a"},
+		&protocol.GetSources{Hash: hit},
+		&protocol.SearchRequest{Keyword: kw},
+	} {
+		out, handled := core.AppendReply(buf[:0], req)
+		if !handled || len(out) <= 10 {
+			t.Fatalf("%T: reply of %d bytes, handled %v", req, len(out), handled)
+		}
+		if n := testing.AllocsPerRun(100, func() { core.AppendReply(buf[:0], req) }); n != 0 {
+			t.Errorf("%T: AppendReply allocated %v times", req, n)
+		}
+	}
+}
+
+// randomSnapshot builds a snapshot from random rows: users with
+// colliding nickname prefixes, files drawn from a small word pool so
+// keywords repeat, random holders (some files left unpublished).
+func randomSnapshot(rng *rand.Rand) *Snapshot {
+	words := []string{"blue", "Echo", "river", "t001", "t002", "x"}
+	users := make([]user, rng.IntN(60))
+	for i := range users {
+		users[i] = user{
+			nick: fmt.Sprintf("%c%c_%d", 'a'+rng.IntN(3), 'a'+rng.IntN(3), i),
+			ip:   rng.Uint32(), port: uint16(rng.Uint32()), id: rng.Uint32(), idx: i,
+		}
+		users[i].hash[0] = byte(i)
+	}
+	files := make([]fileRow, rng.IntN(80))
+	for i := range files {
+		files[i] = fileRow{
+			name: fmt.Sprintf("%s_%s_%04d.mp3", words[rng.IntN(len(words))], words[rng.IntN(len(words))], i),
+			size: rng.Uint64() % (1 << 32), typ: "audio",
+		}
+		files[i].hash[0], files[i].hash[1] = byte(rng.Uint32()), byte(i)
+	}
+	var holders []holder
+	if len(files) > 0 {
+		for k := rng.IntN(300); k > 0; k-- {
+			holders = append(holders, holder{
+				fi: int32(rng.IntN(len(files))),
+				ep: protocol.Endpoint{IP: rng.Uint32() % 8, Port: uint16(rng.IntN(4))},
+			})
+		}
+	}
+	return build(users, files, holders)
+}
+
+// TestAppendReplyMatchesHandleRandom is the property behind the fixed
+// corpus: over random snapshots, random reply caps and random requests
+// (hits, misses, mixed case, requests the core does not own),
+// AppendReply ≡ Handle + WriteMessage byte for byte — appended after
+// whatever the buffer already held.
+func TestAppendReplyMatchesHandleRandom(t *testing.T) {
+	rng := rand.New(rand.NewPCG(2006, 15))
+	for iter := 0; iter < 200; iter++ {
+		snap := randomSnapshot(rng)
+		core := protocol.ServerCore{Dir: snap, MaxUserReplies: rng.IntN(12), SupportsUserSearch: rng.IntN(5) > 0}
+		prefix := []byte("earlier replies")
+		for q := 0; q < 20; q++ {
+			var req protocol.Message
+			switch rng.IntN(6) {
+			case 0:
+				req = &protocol.GetServerList{}
+			case 1:
+				req = &protocol.SearchUser{Query: []string{"", "a", "AB", "bc_", "zz"}[rng.IntN(5)]}
+			case 2:
+				var h [16]byte
+				if n := snap.NumFiles(); n > 0 && rng.IntN(4) > 0 {
+					h = snap.fileHash[rng.IntN(n)]
+				}
+				req = &protocol.GetSources{Hash: h}
+			case 3:
+				req = &protocol.SearchRequest{Keyword: []string{"blue", "ECHO", "t001", "mp3", "0003", "nothing"}[rng.IntN(6)]}
+			case 4:
+				req = &protocol.AskSharedFiles{}
+			default:
+				req = &protocol.LoginRequest{Nickname: "n"}
+			}
+			ref, handled := core.Handle(req)
+			got, gotHandled := core.AppendReply(prefix, req)
+			if gotHandled != handled {
+				t.Fatalf("iter %d %T: handled %v, want %v", iter, req, gotHandled, handled)
+			}
+			want := bytes.NewBuffer(slices.Clone(prefix))
+			if handled {
+				if err := protocol.WriteMessage(want, ref); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("iter %d %T: AppendReply differs from Handle + WriteMessage\n got %x\nwant %x", iter, req, got, want.Bytes())
+			}
+		}
+	}
+}
+
+// scriptConn is a net.Conn that plays a fixed request stream and
+// discards the replies: the session loop with no kernel, no pipe and no
+// timers under it, so what it allocates is its own.
+type scriptConn struct {
+	in      bytes.Reader
+	written int
+}
+
+func (c *scriptConn) Read(p []byte) (int, error)       { return c.in.Read(p) }
+func (c *scriptConn) Write(p []byte) (int, error)      { c.written += len(p); return len(p), nil }
+func (c *scriptConn) Close() error                     { return nil }
+func (c *scriptConn) LocalAddr() net.Addr              { return nil }
+func (c *scriptConn) RemoteAddr() net.Addr             { return nil }
+func (c *scriptConn) SetDeadline(time.Time) error      { return nil }
+func (c *scriptConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *scriptConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestSessionAllocatesNothingPerRequest runs the production session loop
+// over a scripted connection: a session of 4000 requests of every class
+// must cost exactly the heap objects a session of 400 does — the
+// connection's own set-up — so a request costs none.
+func TestSessionAllocatesNothingPerRequest(t *testing.T) {
+	snap := testSnap()
+	hit, kw := someQuery(snap)
+	var round []byte
+	for _, req := range []protocol.Message{
+		&protocol.SearchRequest{Keyword: kw},
+		&protocol.GetSources{Hash: hit},
+		&protocol.SearchUser{Query: "a"},
+		&protocol.GetServerList{},
+		&protocol.LoginRequest{Endpoint: protocol.Endpoint{IP: 0x0C000001, Port: 4662}, Nickname: "re", Version: 60},
+		&protocol.OfferFiles{Files: []protocol.FileEntry{{Name: "up.mp3", Size: 42}}},
+		&protocol.AskSharedFiles{},
+		&protocol.Hello{Nickname: "lost"},
+	} {
+		round, _ = protocol.AppendMessage(round, req)
+	}
+	srv := New(snap, Config{})
+	session := func(rounds int) float64 {
+		stream := bytes.Repeat(round, rounds)
+		conn := &scriptConn{}
+		return testing.AllocsPerRun(5, func() {
+			conn.in.Reset(stream)
+			conn.written = 0
+			srv.ServeConn(conn)
+			if conn.written == 0 {
+				t.Fatal("session wrote nothing")
+			}
+		})
+	}
+	short, long := session(50), session(500)
+	if long != short {
+		t.Fatalf("a session of 4000 requests allocated %v times, one of 400 %v: %v per request",
+			long, short, (long-short)/3600)
+	}
+	// Buffers, session, reply renderer and the reply buffer's growth.
+	if short > 32 {
+		t.Fatalf("a session's set-up allocated %v times", short)
+	}
+}
+
+// maxSessionBytes bounds what one connection makes the server allocate
+// over its lifetime beyond its replies: the two bufio buffers (16 + 32
+// KB), the session struct and bookkeeping.
+const maxSessionBytes = 64 << 10
+
+// TestSessionMemoryIsBounded sends a connection the largest frames the
+// server role takes and the ones it refuses: a 4 MB publication is
+// skipped in the stream, an oversized query closes the connection before
+// it is buffered, and neither makes the server hold or allocate more
+// than the constant above.
+func TestSessionMemoryIsBounded(t *testing.T) {
+	srv := New(testSnap(), Config{})
+	big := make([]byte, 6+4<<20)
+	big[0], big[5] = protocol.ProtoMarker, protocol.OpOfferFiles
+	binary.LittleEndian.PutUint32(big[1:], uint32(len(big)-5))
+	publication, _ := protocol.AppendMessage(big, &protocol.GetServerList{})
+	hugeQuery, _ := protocol.AppendMessage(nil, &protocol.SearchUser{Query: string(make([]byte, 60000))})
+	claimed := []byte{protocol.ProtoMarker, 0, 0, 0, 1, protocol.OpSearchRequest} // 16 MB claimed, nothing sent
+
+	for name, tc := range map[string]struct {
+		stream    []byte
+		wantReply bool
+	}{
+		"4 MB publication": {publication, true},
+		"60 KB query":      {hugeQuery, false},
+		"16 MB claim":      {claimed, false},
+	} {
+		conn := &scriptConn{}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		conn.in.Reset(tc.stream)
+		srv.ServeConn(conn)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > maxSessionBytes {
+			t.Errorf("%s: the session allocated %d bytes, bound %d", name, got, maxSessionBytes)
+		}
+		if (conn.written > 0) != tc.wantReply {
+			t.Errorf("%s: %d reply bytes written, want a reply: %v", name, conn.written, tc.wantReply)
+		}
+	}
 }

@@ -35,12 +35,6 @@ type Config struct {
 	WriteTimeout time.Duration
 	// MaxUserReplies caps SearchUser replies (0 = the measured 200).
 	MaxUserReplies int
-	// Legacy selects the unsharded first-cut request path: a global
-	// mutex around every directory read, reference Handle dispatch, one
-	// message allocation per read and one flush per reply. It exists as
-	// the A/B baseline for the hot path (BenchmarkServeTCP runs both)
-	// and is wired to edserved -legacy.
-	Legacy bool
 }
 
 func (c Config) withDefaults() Config {
@@ -88,17 +82,15 @@ type counters struct {
 }
 
 // Server serves the first-tier protocol over stream connections against
-// an epoch-pinned Snapshot. The query path takes no locks: each request
+// an epoch-pinned Snapshot. The query path takes no locks and, once a
+// connection's buffers have grown to its largest reply, allocates
+// nothing: each request is decoded into the session's reused structs,
 // loads the current snapshot from an atomic pointer and renders its
-// reply through ServerCore.AppendReply into a per-connection reused
-// buffer; SetSnapshot swaps epochs without pausing anything.
+// reply through ServerCore.AppendReply into the session's buffer;
+// SetSnapshot swaps epochs without pausing anything.
 type Server struct {
 	cfg  Config
 	snap atomic.Pointer[Snapshot]
-
-	// legacyMu is the first-cut global directory lock, held around every
-	// directory call when cfg.Legacy is set.
-	legacyMu sync.Mutex
 
 	// drainFlag is set before Shutdown's deadline pass; request loops
 	// check it right after re-arming their idle deadline, so whichever
@@ -241,6 +233,19 @@ func (s *Server) untrack(conn net.Conn) {
 	s.mu.Unlock()
 }
 
+// session is one connection's reusable state: the server-role request
+// decoder (fixed scratch, reused request structs), the protocol core
+// with its reply renderer, the login reply and the reply buffer. A
+// request borrows all of it and allocates nothing.
+type session struct {
+	dec   protocol.RequestDecoder
+	core  protocol.ServerCore
+	id    protocol.IDChange
+	reply []byte
+}
+
+var rejectUnsupported = &protocol.Reject{Reason: "unsupported request"}
+
 // ServeConn answers requests on one connection until it errors, idles
 // out or the server drains. It is exported so tests can drive the exact
 // production request loop over an in-process net.Pipe and pin its bytes
@@ -253,27 +258,25 @@ func (s *Server) ServeConn(conn net.Conn) {
 	defer s.untrack(conn)
 	s.c.active.Add(1)
 	defer s.c.active.Add(-1)
-	if s.cfg.Legacy {
-		s.serveConnLegacy(conn)
-		return
-	}
 	br := bufio.NewReaderSize(conn, 16<<10)
 	bw := bufio.NewWriterSize(conn, 32<<10)
-	var scratch, reply []byte
+	sess := &session{core: protocol.ServerCore{
+		MaxUserReplies:     s.cfg.MaxUserReplies,
+		SupportsUserSearch: true,
+	}}
 	for {
 		conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		if s.drainFlag.Load() {
 			bw.Flush()
 			return
 		}
-		m, sc, err := protocol.ReadMessageInto(br, scratch)
-		scratch = sc
+		m, err := sess.dec.Read(br)
 		if err != nil {
 			return
 		}
-		reply = s.appendReply(reply[:0], m)
-		if len(reply) > 0 {
-			if _, err := bw.Write(reply); err != nil {
+		sess.reply = s.appendReply(sess, sess.reply[:0], m)
+		if len(sess.reply) > 0 {
+			if _, err := bw.Write(sess.reply); err != nil {
 				return
 			}
 		}
@@ -291,123 +294,34 @@ func (s *Server) ServeConn(conn net.Conn) {
 
 // appendReply renders the reply frame for one request into dst (empty
 // for fire-and-forget requests) and bumps the class counters.
-func (s *Server) appendReply(dst []byte, m protocol.Message) []byte {
+func (s *Server) appendReply(sess *session, dst []byte, m protocol.Message) []byte {
 	s.c.queries.Add(1)
 	switch req := m.(type) {
 	case *protocol.LoginRequest:
 		s.c.logins.Add(1)
-		out, _ := protocol.AppendMessage(dst, &protocol.IDChange{ClientID: highID(req.Endpoint.IP)})
+		sess.id.ClientID = highID(req.Endpoint.IP)
+		out, _ := protocol.AppendMessage(dst, &sess.id)
 		return out
 	case *protocol.OfferFiles:
 		s.c.offers.Add(1)
 		return dst // accepted silently, like the original protocol
-	default:
-		core := protocol.ServerCore{
-			Dir:                s.snap.Load(),
-			MaxUserReplies:     s.cfg.MaxUserReplies,
-			SupportsUserSearch: true,
-		}
-		out, handled := core.AppendReply(dst, m)
-		if !handled {
-			s.c.rejects.Add(1)
-			out, _ = protocol.AppendMessage(dst, &protocol.Reject{Reason: "unsupported request"})
-			return out
-		}
-		switch m.(type) {
-		case *protocol.SearchUser:
-			s.c.userSearches.Add(1)
-		case *protocol.SearchRequest:
-			s.c.fileSearches.Add(1)
-		case *protocol.GetSources:
-			s.c.sources.Add(1)
-		case *protocol.GetServerList:
-			s.c.serverLists.Add(1)
-		}
+	}
+	sess.core.Dir = s.snap.Load()
+	out, handled := sess.core.AppendReply(dst, m)
+	if !handled {
+		s.c.rejects.Add(1)
+		out, _ = protocol.AppendMessage(dst, rejectUnsupported)
 		return out
 	}
-}
-
-// lockedDir is the legacy path's directory: every read takes one global
-// mutex, the contention shape of the unsharded first cut.
-type lockedDir struct {
-	mu *sync.Mutex
-	d  *Snapshot
-}
-
-func (l lockedDir) Servers() []protocol.Endpoint {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.d.Servers()
-}
-
-func (l lockedDir) UsersWithPrefix(prefix string, yield func(protocol.UserEntry) bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.d.UsersWithPrefix(prefix, yield)
-}
-
-func (l lockedDir) SourcesOf(hash [16]byte) []protocol.Endpoint {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.d.SourcesOf(hash)
-}
-
-func (l lockedDir) SearchFiles(kw string) []protocol.FileEntry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.d.SearchFiles(kw)
-}
-
-// serveConnLegacy is the first-cut request loop: reference Handle
-// dispatch over the mutex-guarded directory, a fresh decode per read, a
-// materialized reply Message and an unconditional flush per reply. It
-// answers byte-identically to the hot path — BenchmarkServeTCP and the
-// differential tests pin that — just slower.
-func (s *Server) serveConnLegacy(conn net.Conn) {
-	core := protocol.ServerCore{
-		Dir:                lockedDir{mu: &s.legacyMu, d: s.snap.Load()},
-		MaxUserReplies:     s.cfg.MaxUserReplies,
-		SupportsUserSearch: true,
+	switch m.(type) {
+	case *protocol.SearchUser:
+		s.c.userSearches.Add(1)
+	case *protocol.SearchRequest:
+		s.c.fileSearches.Add(1)
+	case *protocol.GetSources:
+		s.c.sources.Add(1)
+	case *protocol.GetServerList:
+		s.c.serverLists.Add(1)
 	}
-	for {
-		conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		if s.drainFlag.Load() {
-			return
-		}
-		m, err := protocol.ReadMessage(conn)
-		if err != nil {
-			return
-		}
-		s.c.queries.Add(1)
-		var reply protocol.Message
-		switch req := m.(type) {
-		case *protocol.LoginRequest:
-			s.c.logins.Add(1)
-			reply = &protocol.IDChange{ClientID: highID(req.Endpoint.IP)}
-		case *protocol.OfferFiles:
-			s.c.offers.Add(1)
-			continue
-		default:
-			var handled bool
-			if reply, handled = core.Handle(m); !handled {
-				s.c.rejects.Add(1)
-				reply = &protocol.Reject{Reason: "unsupported request"}
-			} else {
-				switch m.(type) {
-				case *protocol.SearchUser:
-					s.c.userSearches.Add(1)
-				case *protocol.SearchRequest:
-					s.c.fileSearches.Add(1)
-				case *protocol.GetSources:
-					s.c.sources.Add(1)
-				case *protocol.GetServerList:
-					s.c.serverLists.Add(1)
-				}
-			}
-		}
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		if err := protocol.WriteMessage(conn, reply); err != nil {
-			return
-		}
-	}
+	return out
 }

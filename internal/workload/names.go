@@ -1,8 +1,8 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand/v2"
+	"strconv"
 
 	"edonkey/internal/trace"
 )
@@ -60,11 +60,42 @@ func fileNameWords(rng *rand.Rand) (adj, noun uint8) {
 	return adj, noun
 }
 
-// formatFileName renders a file name from its stored word draws; the
-// remaining parts (topic, in-topic sequence, extension) are structural.
+// maxNameLen bounds every synthesized file name and nickname, so callers
+// can render them into a stack buffer of this size.
+const maxNameLen = 64
+
+// appendFileName renders a file name from its stored word draws as
+// "<adj>_<noun>_t<topic %03d>_<seq %04d>.<ext>"; the parts after the two
+// words (topic, in-topic sequence, extension) are structural.
+func appendFileName(dst []byte, adj, noun uint8, topic int, kind trace.FileKind, seq int) []byte {
+	dst = append(dst, nameAdjectives[adj]...)
+	dst = append(dst, '_')
+	dst = append(dst, nameNouns[noun]...)
+	dst = append(dst, "_t"...)
+	dst = appendZeroPadded(dst, topic, 3)
+	dst = append(dst, '_')
+	dst = appendZeroPadded(dst, seq, 4)
+	dst = append(dst, '.')
+	return append(dst, extFor(kind)...)
+}
+
+// appendZeroPadded appends v the way fmt's %0<width>d prints it.
+func appendZeroPadded(dst []byte, v, width int) []byte {
+	if v < 0 {
+		dst = append(dst, '-')
+		v, width = -v, width-1
+	}
+	var digits [20]byte
+	s := strconv.AppendInt(digits[:0], int64(v), 10)
+	for n := len(s); n < width; n++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, s...)
+}
+
 func formatFileName(adj, noun uint8, topic int, kind trace.FileKind, seq int) string {
-	return fmt.Sprintf("%s_%s_t%03d_%04d.%s",
-		nameAdjectives[adj], nameNouns[noun], topic, seq, extFor(kind))
+	var buf [maxNameLen]byte
+	return string(appendFileName(buf[:0], adj, noun, topic, kind, seq))
 }
 
 // fileName synthesizes a plausible shared-file name, unique per
@@ -85,14 +116,20 @@ func nicknameLetters(rng *rand.Rand) uint16 {
 	return v
 }
 
-// nicknameAt renders the nickname of client id from its packed letters.
-func nicknameAt(packed uint16, id int) string {
-	b := [3]byte{
+// appendNickname renders the nickname of client id from its packed
+// letters as "<abc>_<id>".
+func appendNickname(dst []byte, packed uint16, id int) []byte {
+	dst = append(dst,
 		nickLetters[packed/676],
 		nickLetters[(packed/26)%26],
 		nickLetters[packed%26],
-	}
-	return fmt.Sprintf("%s_%d", b[:], id)
+		'_')
+	return strconv.AppendInt(dst, int64(id), 10)
+}
+
+func nicknameAt(packed uint16, id int) string {
+	var buf [maxNameLen]byte
+	return string(appendNickname(buf[:0], packed, id))
 }
 
 // nickname synthesizes a client nickname starting with three lowercase

@@ -995,6 +995,12 @@ func (w *World) TargetCache(i int) int { return int(w.cl.target[i]) }
 // Nickname synthesizes client i's nickname from the packed letter draws.
 func (w *World) Nickname(i int) string { return nicknameAt(w.cl.nick[i], i) }
 
+// AppendNickname appends client i's nickname to dst: Nickname without
+// the string.
+func (w *World) AppendNickname(dst []byte, i int) []byte {
+	return appendNickname(dst, w.cl.nick[i], i)
+}
+
 // Location returns client i's resolved (country, AS) pair.
 func (w *World) Location(i int) geo.Location {
 	return geo.Location{
@@ -1072,6 +1078,15 @@ func (w *World) FileRelease(fi int) int { return int(w.cat.release[fi]) }
 func (w *World) FileName(fi int) string {
 	b := w.cat.nameBit[fi]
 	return formatFileName(b>>4, b&0x0F, int(w.cat.topic[fi]),
+		trace.FileKind(w.cat.kind[fi]), int(w.cat.pos[fi]))
+}
+
+// AppendFileName appends the name of catalogue file fi to dst: FileName
+// without the string, for callers that render names straight into a
+// frame.
+func (w *World) AppendFileName(dst []byte, fi int) []byte {
+	b := w.cat.nameBit[fi]
+	return appendFileName(dst, b>>4, b&0x0F, int(w.cat.topic[fi]),
 		trace.FileKind(w.cat.kind[fi]), int(w.cat.pos[fi]))
 }
 
