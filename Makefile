@@ -24,8 +24,11 @@ build:
 test:
 	$(GO) test ./...
 
+# The second run is for the two packages whose bugs depend on the
+# schedule: memconn's rendezvous and the switchboard that dials through it.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/memconn ./internal/edonkey
 
 # Full benchmark suite (slow; regenerates the paper's figures). Results
 # stream to stdout as usual and the machine-readable trajectory lands in

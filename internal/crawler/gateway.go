@@ -1,13 +1,13 @@
 package crawler
 
 import (
+	"bufio"
 	"bytes"
 	"net"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"edonkey/internal/edonkey"
 	"edonkey/internal/protocol"
@@ -27,9 +27,9 @@ import (
 //     per query), with the legacy login-probe reachability semantics
 //     (including endpoint-collision losers) replayed from one
 //     deterministic pass per day;
-//   - the client view: a Network resolver that answers Browse dials for
-//     any online client's endpoint with a handler rendering that
-//     client's cache span on the fly.
+//   - the client view: the Network's Resolver, which answers Browse dials
+//     for any online client's endpoint by rendering that client's cache
+//     span on the fly.
 //
 // The crawler still learns everything through wire messages — the same
 // frames, caps, rejects and unreachable errors — but the per-day cost is
@@ -70,23 +70,49 @@ type worldGateway struct {
 	hashSize int // catalogue length the index covers
 
 	// frames recycles the browse handlers' reply buffers. A handler
-	// holds one only while it renders and writes a reply — a pipe write
-	// returns once the peer has read it all — not for as long as it
-	// lives: finished handlers linger by the dozen until the scheduler
-	// lets them see their peer's close, and a buffer each would leave
-	// the next dial nothing to reuse.
+	// holds one only while it renders and writes a reply — a memconn
+	// Write returns once the peer has read it all and keeps nothing of
+	// the slice — not for as long as it lives, so that a handler parked
+	// in its next read keeps no reply-sized buffer from the next dial.
 	frames sync.Pool // of *[]byte
+
+	// readers recycles what a handler reads its connection through.
+	readers sync.Pool // of *requestReader
 }
+
+// requestReader is the read side of one served connection: the
+// server-role decoder with its per-opcode payload caps, and the buffered
+// reader it reads from. A handler borrows the pair for its lifetime.
+type requestReader struct {
+	dec protocol.RequestDecoder
+	br  *bufio.Reader
+}
+
+// requestBuffer holds any request but a publication whole, and those are
+// skipped through it.
+const requestBuffer = 1 << 10
 
 func newWorldGateway(w *workload.World, cfg Config, n *edonkey.Network) (*worldGateway, error) {
 	g := &worldGateway{w: w, cfg: cfg, net: n, maxUserReplies: edonkey.DefaultMaxUserReplies}
 	g.frames.New = func() any { return new([]byte) }
+	g.readers.New = func() any { return &requestReader{br: bufio.NewReaderSize(nil, requestBuffer)} }
 	g.buildNickOrder()
 	if err := n.Listen(serverEndpoint, g.serveServer); err != nil {
 		return nil, err
 	}
-	n.SetResolver(g.resolveClient)
+	n.SetResolver(g)
 	return g, nil
+}
+
+func (g *worldGateway) borrowReader(conn net.Conn) *requestReader {
+	rd := g.readers.Get().(*requestReader)
+	rd.br.Reset(conn)
+	return rd
+}
+
+func (g *worldGateway) returnReader(rd *requestReader) {
+	rd.br.Reset(nil)
+	g.readers.Put(rd)
 }
 
 func (g *worldGateway) core() *protocol.ServerCore {
@@ -117,12 +143,9 @@ func (g *worldGateway) buildNickOrder() {
 	})
 }
 
-// clientPort mirrors the legacy per-client port assignment.
-func clientPort(i int) uint16 { return uint16(4000 + i%60000) }
-
 func (g *worldGateway) endpointOf(i, day int) protocol.Endpoint {
 	ip, _ := g.w.IdentityAt(i, day)
-	return protocol.Endpoint{IP: ip, Port: clientPort(i)}
+	return protocol.Endpoint{IP: ip, Port: workload.ClientPort(i)}
 }
 
 // beginDay re-derives the day's server-side state from the world
@@ -153,7 +176,7 @@ func (g *worldGateway) beginDay(day int) {
 			continue
 		}
 		ip, hash := w.IdentityAt(i, day)
-		ep := protocol.Endpoint{IP: ip, Port: clientPort(i)}
+		ep := protocol.Endpoint{IP: ip, Port: workload.ClientPort(i)}
 		if !w.Firewalled(i) {
 			if _, taken := g.epOwner[ep]; taken {
 				continue // endpoint collision: loses the address today
@@ -196,7 +219,7 @@ func (g *worldGateway) userEntry(i int) protocol.UserEntry {
 	return protocol.UserEntry{
 		Hash:     hash,
 		ClientID: id,
-		Endpoint: protocol.Endpoint{IP: ip, Port: clientPort(i)},
+		Endpoint: protocol.Endpoint{IP: ip, Port: workload.ClientPort(i)},
 		Nickname: g.w.Nickname(i),
 	}
 }
@@ -370,7 +393,7 @@ func nameHasToken(name, token string) bool {
 
 // gwWrite puts one rendered frame on the wire.
 func (g *worldGateway) gwWrite(conn net.Conn, frame []byte) error {
-	if err := conn.SetDeadline(time.Now().Add(g.net.DialTimeout)); err != nil {
+	if err := edonkey.SetExchangeDeadline(conn, g.net.DialTimeout); err != nil {
 		return err
 	}
 	_, err := conn.Write(frame)
@@ -380,13 +403,16 @@ func (g *worldGateway) gwWrite(conn net.Conn, frame []byte) error {
 var rejectUnsupported = &protocol.Reject{Reason: "unsupported request"}
 
 // serveServer answers one connection to the first-tier server endpoint.
+// It reads what a server reads and nothing else: a frame that is not a
+// request, or is larger than its kind can be, ends the session.
 func (g *worldGateway) serveServer(conn net.Conn) {
 	defer conn.Close()
+	rd := g.borrowReader(conn)
+	defer g.returnReader(rd)
 	core := g.core()
-	var scratch, reply []byte
+	var reply []byte
 	for {
-		m, sc, err := protocol.ReadMessageInto(conn, scratch)
-		scratch = sc
+		m, err := rd.dec.Read(rd.br)
 		if err != nil {
 			return
 		}
@@ -409,7 +435,8 @@ func (g *worldGateway) serveServer(conn net.Conn) {
 
 // handleLogin registers a wire session (in a crawl: the crawler itself)
 // with the legacy probe semantics: reachable endpoints get an IP-derived
-// high ID.
+// high ID. req is the decoder's and lives until its next read; the
+// session keeps its own copy of the nickname.
 func (g *worldGateway) handleLogin(req *protocol.LoginRequest) protocol.Message {
 	id := uint32(1)
 	if g.net.Listening(req.Endpoint) {
@@ -423,23 +450,18 @@ func (g *worldGateway) handleLogin(req *protocol.LoginRequest) protocol.Message 
 		Hash:     req.UserHash,
 		ClientID: id,
 		Endpoint: req.Endpoint,
-		Nickname: req.Nickname,
+		Nickname: strings.Clone(req.Nickname),
 	})
 	g.mu.Unlock()
 	return &protocol.IDChange{ClientID: id}
 }
 
-// resolveClient is the Network fallback: it owns every claimed client
-// endpoint of the day and serves the client-client protocol (handshake,
-// browse) straight from the owner's columns.
-func (g *worldGateway) resolveClient(ep protocol.Endpoint) (edonkey.ConnHandler, bool) {
+// Resolve makes the gateway the Network's fallback: it owns every
+// claimed client endpoint of the day, and the handle it answers with is
+// the owner's client index.
+func (g *worldGateway) Resolve(ep protocol.Endpoint) (int, bool) {
 	owner, ok := g.epOwner[ep]
-	if !ok {
-		return nil, false
-	}
-	return func(conn net.Conn) {
-		g.serveClient(int(owner), conn)
-	}, true
+	return int(owner), ok
 }
 
 var (
@@ -447,13 +469,14 @@ var (
 	rejectRequest = &protocol.Reject{Reason: "unsupported"}
 )
 
-// serveClient answers client-client sessions for world client i.
-func (g *worldGateway) serveClient(i int, conn net.Conn) {
+// ServeConn answers one client-client session (handshake, browse) for
+// world client i, straight from its columns.
+func (g *worldGateway) ServeConn(i int, conn net.Conn) {
 	defer conn.Close()
-	var scratch []byte
+	rd := g.borrowReader(conn)
+	defer g.returnReader(rd)
 	for {
-		m, sc, err := protocol.ReadMessageInto(conn, scratch)
-		scratch = sc
+		m, err := rd.dec.Read(rd.br)
 		if err != nil {
 			return
 		}
@@ -462,7 +485,8 @@ func (g *worldGateway) serveClient(i int, conn net.Conn) {
 		switch m.(type) {
 		case *protocol.Hello:
 			_, hash := g.w.IdentityAt(i, g.day)
-			reply, _ = protocol.AppendMessage(reply, &protocol.HelloAnswer{UserHash: hash, Nickname: g.w.Nickname(i)})
+			var nick [32]byte
+			reply = protocol.AppendHelloAnswer(reply, hash, g.w.AppendNickname(nick[:0], i))
 		case *protocol.AskSharedFiles:
 			if !g.w.BrowseOK(i) {
 				reply, _ = protocol.AppendMessage(reply, rejectBrowse)

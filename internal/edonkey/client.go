@@ -15,6 +15,8 @@ import (
 // connection to them fails, exactly the loss the paper's crawler had to
 // filter out.
 type Client struct {
+	// The identity is fixed by NewClient: the handshake frame is encoded
+	// from it there, once.
 	UserHash [16]byte
 	Endpoint protocol.Endpoint
 	Nickname string
@@ -24,21 +26,30 @@ type Client struct {
 	BrowseOK bool
 
 	net *Network
+	// hello is the client's Hello as a frame, what every browse dial
+	// opens with.
+	hello []byte
 
 	mu     sync.Mutex
 	shared []protocol.FileEntry
 	online bool
 }
 
+// askSharedFiles is the browse request as a frame: it has no fields.
+var askSharedFiles, _ = protocol.AppendMessage(nil, &protocol.AskSharedFiles{})
+
 // NewClient builds a client on the switchboard. Call SetShared and
 // GoOnline to make it part of the network.
 func NewClient(n *Network, hash [16]byte, ep protocol.Endpoint, nickname string) *Client {
+	// A frame of a hash, an endpoint and a nickname cannot be too large.
+	hello, _ := protocol.AppendMessage(nil, &protocol.Hello{UserHash: hash, Endpoint: ep, Nickname: nickname})
 	return &Client{
 		UserHash: hash,
 		Endpoint: ep,
 		Nickname: nickname,
 		BrowseOK: true,
 		net:      n,
+		hello:    hello,
 	}
 }
 
@@ -230,29 +241,30 @@ func (c *Client) Browse(target protocol.Endpoint) ([]protocol.FileEntry, error) 
 
 // BrowseList is Browse without the decoding: it returns the answer's
 // entry list as it came off the wire, checked to be well formed, in a
-// buffer the caller owns. Walk it with protocol.WalkFiles.
+// buffer the caller owns. Walk it with protocol.WalkFiles. Both replies
+// are checked where they lie; only one that is not what the exchange
+// expects is decoded, to say what it was.
 func (c *Client) BrowseList(target protocol.Endpoint) ([]byte, error) {
 	conn, err := c.net.Dial(target)
 	if err != nil {
 		return nil, err
 	}
 	defer conn.Close()
-	op, payload, scratch, err := requestFrame(conn, &protocol.Hello{
-		UserHash: c.UserHash,
-		Endpoint: c.Endpoint,
-		Nickname: c.Nickname,
-	}, nil, c.net.DialTimeout)
+	op, payload, scratch, err := requestFrame(conn, c.hello, nil, c.net.DialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	reply, err := protocol.Decode(op, payload)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := reply.(*protocol.HelloAnswer); !ok {
+	if op != protocol.OpHelloAnswer {
+		reply, err := protocol.Decode(op, payload)
+		if err != nil {
+			return nil, err
+		}
 		return nil, fmt.Errorf("edonkey: unexpected hello reply %T", reply)
 	}
-	op, payload, _, err = requestFrame(conn, &protocol.AskSharedFiles{}, scratch, c.net.DialTimeout)
+	if err := protocol.CheckHelloAnswer(payload); err != nil {
+		return nil, err
+	}
+	op, payload, _, err = requestFrame(conn, askSharedFiles, scratch, c.net.DialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +274,8 @@ func (c *Client) BrowseList(target protocol.Endpoint) ([]byte, error) {
 		}
 		return payload, nil
 	}
-	if reply, err = protocol.Decode(op, payload); err != nil {
+	reply, err := protocol.Decode(op, payload)
+	if err != nil {
 		return nil, err
 	}
 	if r, ok := reply.(*protocol.Reject); ok {

@@ -522,6 +522,32 @@ func (m *HelloAnswer) decode(r *reader) (err error) {
 	return err
 }
 
+// AppendHelloAnswer appends the frame of a HelloAnswer whose nickname
+// the caller holds as bytes: what AppendMessage makes of the struct,
+// without the string.
+func AppendHelloAnswer(dst []byte, userHash [16]byte, nickname []byte) []byte {
+	size := 1 + len(userHash) + 2 + len(nickname)
+	dst = append(dst, ProtoMarker)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(size))
+	dst = append(dst, OpHelloAnswer)
+	dst = append(dst, userHash[:]...)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(nickname)))
+	return append(dst, nickname...)
+}
+
+// CheckHelloAnswer decodes payload as a HelloAnswer in place and returns
+// what Decode would have failed with, nil for a well-formed answer: the
+// handshake's CheckFiles, for a caller that wants the check and not the
+// message.
+func CheckHelloAnswer(payload []byte) error {
+	r := reader{buf: payload, alias: true}
+	var m HelloAnswer
+	if err := m.decode(&r); err != nil {
+		return err
+	}
+	return r.done()
+}
+
 // AskSharedFiles requests the peer's cache listing (browse). Users could
 // disable answering it — and increasingly did, which is why the paper
 // notes a similar crawl is no longer possible.

@@ -275,19 +275,23 @@ func AppendMessage(dst []byte, m Message) ([]byte, error) {
 
 // framePool recycles encode buffers across WriteMessage calls: the
 // serving hot path frames thousands of small replies per second and
-// must not allocate a fresh buffer for each.
-var framePool = sync.Pool{New: func() any { return make([]byte, 0, 512) }}
+// must not allocate a fresh buffer for each. It holds pointers: a slice
+// header put into an interface is itself an allocation.
+var framePool = sync.Pool{New: func() any {
+	buf := make([]byte, 0, 512)
+	return &buf
+}}
 
 // WriteMessage frames and writes one message.
 func WriteMessage(w io.Writer, m Message) error {
-	buf := framePool.Get().([]byte)
-	frame, err := AppendMessage(buf[:0], m)
+	buf := framePool.Get().(*[]byte)
+	defer framePool.Put(buf)
+	frame, err := AppendMessage((*buf)[:0], m)
 	if err != nil {
-		framePool.Put(buf)
 		return err
 	}
+	*buf = frame[:0] // keep what the frame grew to
 	_, err = w.Write(frame)
-	framePool.Put(frame[:0])
 	return err
 }
 

@@ -11,6 +11,8 @@ import (
 	"runtime"
 	"testing"
 	"unsafe"
+
+	"edonkey/internal/testenv"
 )
 
 // allocBytes returns the heap bytes f allocates. The reading is of the
@@ -311,6 +313,55 @@ func TestListFrameMatchesAppendMessage(t *testing.T) {
 	}
 	if got := f.End(); !bytes.Equal(got, want) {
 		t.Fatalf("ListFrame rendering differs from AppendMessage\n got %x\nwant %x", got, want)
+	}
+}
+
+// AppendHelloAnswer is AppendMessage of the struct, byte for byte, and
+// CheckHelloAnswer passes and fails exactly where Decode does.
+func TestHelloAnswerInPlace(t *testing.T) {
+	hash := [16]byte{1, 2, 3}
+	for _, nick := range []string{"", "abc_17", string(bytes.Repeat([]byte("n"), 300))} {
+		want, _ := AppendMessage([]byte("prefix"), &HelloAnswer{UserHash: hash, Nickname: nick})
+		got := AppendHelloAnswer([]byte("prefix"), hash, []byte(nick))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("nickname %q: AppendHelloAnswer differs from AppendMessage\n got %x\nwant %x", nick, got, want)
+		}
+	}
+	whole, _ := AppendMessage(nil, &HelloAnswer{UserHash: hash, Nickname: "abc_17"})
+	payload := whole[frameHeaderSize+1:]
+	cases := [][]byte{payload, append(bytes.Clone(payload), 0), nil}
+	for cut := range payload {
+		cases = append(cases, payload[:cut])
+	}
+	for _, p := range cases {
+		_, want := Decode(OpHelloAnswer, p)
+		got := CheckHelloAnswer(p)
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Errorf("payload %x: CheckHelloAnswer = %v, Decode = %v", p, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := CheckHelloAnswer(payload); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("CheckHelloAnswer allocated %v times", n)
+	}
+}
+
+// WriteMessage borrows its frame buffer and hands it back without
+// boxing a slice header on the way: a message written costs nothing.
+func TestWriteMessageZeroAllocs(t *testing.T) {
+	if testenv.Race() {
+		t.Skip("sync.Pool sheds buffers under the race detector")
+	}
+	m := &Hello{UserHash: [16]byte{9}, Endpoint: Endpoint{IP: 0x0A000001, Port: 4662}, Nickname: "xyz_9"}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := WriteMessage(io.Discard, m); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("WriteMessage allocated %v times", n)
 	}
 }
 

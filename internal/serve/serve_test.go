@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"edonkey/internal/memconn"
 	"edonkey/internal/protocol"
 	"edonkey/internal/workload"
 )
@@ -156,18 +157,23 @@ func replyStream(t *testing.T, conn net.Conn, reqs []protocol.Message) []byte {
 }
 
 // TestPipeAndTCPRepliesByteIdentical drives the same request sequence
-// through both serving surfaces — the in-process pipe path and a real
-// TCP connection — and requires the reply byte streams to be identical,
-// and identical to what ServerCore.Handle + WriteMessage renders.
+// through both serving surfaces — the in-process pipe path, over net.Pipe
+// and over the memconn pipe edonkey.Network dials with, and a real TCP
+// connection — and requires the reply byte streams to be identical, and
+// identical to what ServerCore.Handle + WriteMessage renders: ServeConn
+// does not care which transport is under it.
 func TestPipeAndTCPRepliesByteIdentical(t *testing.T) {
 	reqs := append(corpus(t), &protocol.OfferFiles{Files: []protocol.FileEntry{{Name: "x.mp3", Size: 1}}}, &protocol.SearchUser{Query: "b"})
 	srv := New(testSnap(), Config{})
 
-	pc, ps := net.Pipe()
-	go srv.ServeConn(ps)
-	pc.SetDeadline(time.Now().Add(30 * time.Second))
-	viaPipe := replyStream(t, pc, reqs)
-	pc.Close()
+	viaPipes := make(map[string][]byte)
+	for name, pipe := range map[string]func() (net.Conn, net.Conn){"net.Pipe": net.Pipe, "memconn.Pipe": memconn.Pipe} {
+		pc, ps := pipe()
+		go srv.ServeConn(ps)
+		pc.SetDeadline(time.Now().Add(30 * time.Second))
+		viaPipes[name] = replyStream(t, pc, reqs)
+		pc.Close()
+	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -189,11 +195,14 @@ func TestPipeAndTCPRepliesByteIdentical(t *testing.T) {
 	}
 	<-done
 
-	if !bytes.Equal(viaPipe, viaTCP) {
-		t.Fatalf("pipe and TCP reply streams differ (%d vs %d bytes)", len(viaPipe), len(viaTCP))
-	}
-	if want := referenceStream(t, reqs); !bytes.Equal(viaPipe, want) {
-		t.Fatalf("served reply stream differs from Handle + WriteMessage (%d vs %d bytes)", len(viaPipe), len(want))
+	want := referenceStream(t, reqs)
+	for name, viaPipe := range viaPipes {
+		if !bytes.Equal(viaPipe, viaTCP) {
+			t.Errorf("%s and TCP reply streams differ (%d vs %d bytes)", name, len(viaPipe), len(viaTCP))
+		}
+		if !bytes.Equal(viaPipe, want) {
+			t.Errorf("reply stream served over %s differs from Handle + WriteMessage (%d vs %d bytes)", name, len(viaPipe), len(want))
+		}
 	}
 }
 
@@ -671,16 +680,43 @@ func TestSessionMemoryIsBounded(t *testing.T) {
 		"16 MB claim":      {claimed, false},
 	} {
 		conn := &scriptConn{}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
 		conn.in.Reset(tc.stream)
-		srv.ServeConn(conn)
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > maxSessionBytes {
+		if got := sessionBytes(srv, conn); got > maxSessionBytes {
 			t.Errorf("%s: the session allocated %d bytes, bound %d", name, got, maxSessionBytes)
 		}
 		if (conn.written > 0) != tc.wantReply {
 			t.Errorf("%s: %d reply bytes written, want a reply: %v", name, conn.written, tc.wantReply)
 		}
+
+		// The same over a memconn pipe, with a peer that writes the
+		// stream, reads the reply if one is due and hangs up. The Write
+		// lends the server its slice and the peer reads into its stack,
+		// so the bound still holds — for both ends together.
+		client, server := memconn.Pipe()
+		replied := make(chan int, 1)
+		go func() {
+			defer client.Close()
+			client.SetDeadline(time.Now().Add(30 * time.Second))
+			client.Write(tc.stream) // cut short where the server hangs up
+			var buf [512]byte
+			n, _ := client.Read(buf[:])
+			replied <- n
+		}()
+		if got := sessionBytes(srv, server); got > maxSessionBytes {
+			t.Errorf("%s over memconn: the session allocated %d bytes, bound %d", name, got, maxSessionBytes)
+		}
+		if n := <-replied; (n > 0) != tc.wantReply {
+			t.Errorf("%s over memconn: %d reply bytes read, want a reply: %v", name, n, tc.wantReply)
+		}
 	}
+}
+
+// sessionBytes serves conn to its end and returns the heap bytes the
+// process allocated meanwhile.
+func sessionBytes(srv *Server, conn net.Conn) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	srv.ServeConn(conn)
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

@@ -248,8 +248,8 @@ var rejectUnsupported = &protocol.Reject{Reason: "unsupported request"}
 
 // ServeConn answers requests on one connection until it errors, idles
 // out or the server drains. It is exported so tests can drive the exact
-// production request loop over an in-process net.Pipe and pin its bytes
-// against the TCP path.
+// production request loop over an in-process pipe (net.Pipe, memconn)
+// and pin its bytes against the TCP path.
 func (s *Server) ServeConn(conn net.Conn) {
 	defer conn.Close()
 	if !s.track(conn) {

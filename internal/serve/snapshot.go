@@ -162,10 +162,6 @@ func (s *Snapshot) SearchFiles(kw string) []protocol.FileEntry {
 	return out
 }
 
-// clientPort mirrors the per-client port assignment used across the
-// simulation stack.
-func clientPort(i int) uint16 { return uint16(4000 + i%60000) }
-
 // highID derives the reachable (high) client ID from an IP, lifting IPs
 // that would collide with the low-ID range.
 func highID(ip uint32) uint32 {
@@ -337,7 +333,7 @@ func SnapshotFromWorld(w *workload.World, day int) *Snapshot {
 			continue
 		}
 		ip, hash := w.IdentityAt(i, day)
-		ep := protocol.Endpoint{IP: ip, Port: clientPort(i)}
+		ep := protocol.Endpoint{IP: ip, Port: workload.ClientPort(i)}
 		reachable := false
 		if !w.Firewalled(i) {
 			if _, taken := epOwner[ep]; taken {
@@ -382,7 +378,7 @@ func SnapshotFromTrace(tr *trace.Trace, dayIdx int) *Snapshot {
 	var holders []holder
 	d.ForEachRow(func(p trace.PeerID, row []trace.FileID) {
 		ip := tr.PeerIP(p)
-		ep := protocol.Endpoint{IP: ip, Port: clientPort(int(p))}
+		ep := protocol.Endpoint{IP: ip, Port: workload.ClientPort(int(p))}
 		id := uint32(1)
 		if !tr.PeerFirewalled(p) {
 			id = highID(ip)

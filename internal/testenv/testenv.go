@@ -1,0 +1,20 @@
+// Package testenv tells tests about the binary they run in.
+package testenv
+
+import "runtime/debug"
+
+// Race reports whether the binary was built with -race. The detector
+// makes sync.Pool drop a share of what it is handed, so an allocation
+// pin on a path that recycles through a pool can only hold without it.
+func Race() bool {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range info.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}

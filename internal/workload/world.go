@@ -1033,6 +1033,12 @@ func (w *World) IdentityAt(i, day int) (ip uint32, hash [16]byte) {
 	return last.ip, last.hash
 }
 
+// ClientPort is the port client i listens on, every day: with IdentityAt's
+// IP it makes the client's endpoint. The crawl's gateway and the served
+// snapshot both build endpoints from it, so that a snapshot served from
+// a capture names the peers the crawl dialled.
+func ClientPort(i int) uint16 { return uint16(4000 + i%60000) }
+
 // CacheSize returns the number of files client i currently shares.
 func (w *World) CacheSize(i int) int { return int(w.cl.cacheLen[i]) }
 
