@@ -3,18 +3,8 @@
 # what CI runs.
 
 GO ?= go
-# Benchmark iteration budget; CI overrides with 1x for the smoke run.
-BENCHTIME ?= 1s
-# Repetitions per benchmark; benchjson keeps the fastest, so counts > 1
-# filter scheduler noise (the bench-diff gate runs with 3).
-BENCHCOUNT ?= 1
 
-# bench/bench-store pipe go test into benchjson; without pipefail a
-# failed benchmark run would still exit 0 and upload a truncated JSON.
-SHELL := /bin/bash
-.SHELLFLAGS := -o pipefail -ec
-
-.PHONY: all build test race bench bench-store bench-diff bench-smoke bench-harness fuzz scale lint fmt clean
+.PHONY: all build test race bench-smoke bench-harness fuzz scale lint fmt clean
 
 all: build lint test
 
@@ -30,37 +20,13 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/memconn ./internal/edonkey
 
-# Full benchmark suite (slow; regenerates the paper's figures). Results
-# stream to stdout as usual and the machine-readable trajectory lands in
-# BENCH_store.json (op, ns/op, B/op, allocs/op, peers).
-bench:
-	$(GO) test -bench=. -benchtime=$(BENCHTIME) -benchmem ./... | $(GO) run ./cmd/benchjson -out BENCH_store.json
-
-# Just the tracked store benchmarks (BenchmarkPairOverlap
-# map-vs-store-vs-sharded, BenchmarkSuite, BenchmarkSuiteScale's
-# crawl-scale suite at workers=1 vs the machine with its ns/figure cost,
-# BenchmarkTraceIO gob-vs-edt, BenchmarkCrawlScale with its
-# bytes_per_peer floor and ns/snap browse cost,
-# BenchmarkRunSimParallel's sharded event loop at one worker vs the
-# machine, BenchmarkSweepInterleaved's sweep scheduler with its
-# ns/point cost, BenchmarkServeTCP's loopback serving path with its
-# ns/query cost); same JSON artefact, much faster than `make bench`.
-bench-store:
-	$(GO) test -run='^$$' -bench='^(BenchmarkPairOverlap|BenchmarkSuite|BenchmarkSuiteScale|BenchmarkTraceIO|BenchmarkCrawlScale|BenchmarkRunSimParallel|BenchmarkSweepInterleaved|BenchmarkServeTCP)$$' -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) -benchmem ./... | $(GO) run ./cmd/benchjson -out BENCH_store.json
-
-# Regression gate: rerun the tracked benchmarks and fail if any ns/op
-# regressed more than 25% against the committed baseline (CI enforces
-# this; refresh the baseline with `make bench-store &&
-# cp BENCH_store.json BENCH_baseline.json` when a change is intentional).
-# The anchor benchmark (frozen legacy gob load) normalizes machine
-# speed, so the committed baseline gates runners faster or slower than
-# the box that recorded it. Machine-independent byte metrics (resident
-# bytes after load, on-disk file size) gate unscaled alongside ns/op.
-bench-diff: BENCHCOUNT := 3
-bench-diff: bench-store
-	$(GO) run ./cmd/benchjson -diff BENCH_baseline.json -in BENCH_store.json -tolerance 25 -anchor 'BenchmarkTraceIO/op=load/format=gob/peers=20000' -gate-extra bytes_after_load,file-bytes,bytes_per_peer,bytes_per_peer_day,ns/snap,ns/figure,ns/point,ns/query
-
-# CI's smoke variant: every benchmark runs exactly once.
+# The go-test benchmarks (one per table and figure, the derivation and
+# overlay ablations, the codec and dial micro-benchmarks) are for
+# measuring while you work; nothing parses or gates them, and this only
+# checks that each still compiles and runs once. The repository's
+# yardstick is bench/ — `bash bench/run.sh --workload <name> --seed 1
+# --seconds 15 --trace 0`, declared in BENCHMARK.json — and the sizes in
+# bytes that need no yardstick are ceiling tests under `make test`.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 

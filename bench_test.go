@@ -10,7 +10,6 @@ package edonkey
 // the actual data series are written by cmd/edrepro.
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -18,14 +17,15 @@ import (
 	"edonkey/internal/core"
 	"edonkey/internal/geo"
 	"edonkey/internal/overlay"
-	"edonkey/internal/runner"
 	"edonkey/internal/trace"
 	"edonkey/internal/workload"
 )
 
 // Per-figure benchmarks run their sweeps serially (nil pool) so they
 // keep measuring the cost of one experiment's work, not the machine's
-// core count; BenchmarkAblationSweep* measures the parallel engine.
+// core count. None of them is tracked or gated: the repository's
+// yardstick is bench/ (BENCHMARK.json, `bash bench/run.sh`), whose repro
+// workload times the same suite end to end and layer by layer.
 
 var (
 	benchOnce  sync.Once
@@ -354,198 +354,5 @@ func BenchmarkAblationOverlayVsLRUSearch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = core.RunSim(s.Caches, core.SimOptions{ListSize: 20, Seed: 1, FixedLists: views})
 		_ = core.RunSim(s.Caches, core.SimOptions{ListSize: 20, Kind: core.LRU, Seed: 1})
-	}
-}
-
-// benchSweepOpts is a representative multi-point ablation sweep (the
-// Fig. 19 grid at the paper's list sizes): 16 independent simulation
-// points over one shared set of caches.
-func benchSweepOpts() []core.SimOptions {
-	var opts []core.SimOptions
-	for _, drop := range []float64{0, 0.05, 0.10, 0.15} {
-		for _, L := range []int{5, 10, 20, 50} {
-			opts = append(opts, core.SimOptions{
-				ListSize: L, Kind: core.LRU, Seed: 1, DropTopUploaders: drop,
-			})
-		}
-	}
-	return opts
-}
-
-// BenchmarkAblationSweepSerial and BenchmarkAblationSweepParallel compare
-// the same 16-point sweep through the experiment engine at one worker and
-// at GOMAXPROCS workers; the outputs are bit-identical, only wall-clock
-// differs (roughly by the core count on an idle machine).
-func BenchmarkAblationSweepSerial(b *testing.B) {
-	s := benchSetup(b)
-	opts := benchSweepOpts()
-	pool := runner.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.RunSweep(s.Caches, opts, pool)
-	}
-}
-
-func BenchmarkAblationSweepParallel(b *testing.B) {
-	s := benchSetup(b)
-	opts := benchSweepOpts()
-	pool := runner.New(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.RunSweep(s.Caches, opts, pool)
-	}
-}
-
-// benchInterleavedOpts is the tracked sweep-scheduler grid: the Fig. 19
-// drop grid (4 ablation keys × 4 list sizes) plus a Fig. 21-style
-// randomized baseline across the paper's six list sizes (one key, and
-// the most expensive setup — the (1/2)·N·ln N swap budget). 22 points
-// over 5 prestate keys: both wins of the scheduler — prestate sharing
-// and interleaving — show up on this shape.
-func benchInterleavedOpts() []core.SimOptions {
-	opts := benchSweepOpts()
-	for _, L := range []int{5, 10, 20, 50, 100, 200} {
-		opts = append(opts, core.SimOptions{
-			ListSize: L, Kind: core.LRU, Seed: 1, RandomizeSwaps: -1,
-		})
-	}
-	return opts
-}
-
-// BenchmarkSweepInterleaved is the tracked sweep-path benchmark: the
-// committed ablation grid through RunSweep at one worker and at
-// GOMAXPROCS workers. The outputs are bit-identical to a serial RunSim
-// loop at every worker count (pinned by the core differential tests);
-// only wall-clock differs. Besides ns/op it reports ns/point, the
-// anchor-normalized per-point cost `make bench-diff` gates, so a
-// regression in prestate sharing or the interleaved scheduler fails CI
-// even on machines whose core counts differ from the baseline's.
-func BenchmarkSweepInterleaved(b *testing.B) {
-	s := benchSetup(b)
-	opts := benchInterleavedOpts()
-	for _, variant := range []struct {
-		name    string
-		workers int
-	}{{"workers=1", 1}, {"workers=max", 0}} {
-		b.Run(fmt.Sprintf("points=%d/%s", len(opts), variant.name), func(b *testing.B) {
-			pool := runner.New(variant.workers)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = core.RunSweep(s.Caches, opts, pool)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(opts)), "ns/point")
-		})
-	}
-}
-
-// BenchmarkAblationSuiteSerial/Parallel regenerate the full figure suite
-// (all tables and figures at reduced list sizes) through the engine.
-func benchSuiteInput(s *Study, pool *runner.Pool) analysis.SuiteInput {
-	return analysis.SuiteInput{
-		Full:         s.Full,
-		Filtered:     s.Filtered,
-		Extrapolated: s.Extrapolated,
-		Caches:       s.Caches,
-		Registry:     benchReg,
-		Seed:         1,
-		ListSizes:    benchListSizes,
-		Pool:         pool,
-	}
-}
-
-// BenchmarkSuite is the tracked hot-path benchmark: one serial
-// regeneration of the full figure suite on the shared laptop-scale
-// study. `make bench` extracts it (with BenchmarkPairOverlap) into
-// BENCH_store.json so the perf trajectory is visible PR-over-PR.
-func BenchmarkSuite(b *testing.B) {
-	s := benchSetup(b)
-	b.Run(fmt.Sprintf("peers=%d", s.Filtered.NumPeers()), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = analysis.FullSuite(benchSuiteInput(s, runner.New(1)))
-		}
-	})
-}
-
-var (
-	suiteScaleOnce  sync.Once
-	suiteScaleStudy *Study
-	suiteScaleErr   error
-)
-
-// suiteScaleSetup builds a crawl-scale study once: 5k peers at the
-// paper's ~30x files-per-peer ratio over 14 days — the same shape as the
-// million-peer capture, scaled so the count=3 bench-diff gate fits the
-// PR-CI budget.
-func suiteScaleSetup(b *testing.B) *Study {
-	b.Helper()
-	suiteScaleOnce.Do(func() {
-		cfg := DefaultStudyConfig()
-		cfg.World = workload.Config{
-			Seed:           5,
-			Peers:          5000,
-			Days:           14,
-			Topics:         250,
-			InitialFiles:   150000,
-			NewFilesPerDay: 1500,
-		}
-		suiteScaleStudy, suiteScaleErr = NewStudy(cfg)
-	})
-	if suiteScaleErr != nil {
-		b.Fatal(suiteScaleErr)
-	}
-	return suiteScaleStudy
-}
-
-// BenchmarkSuiteScale is the tracked scale benchmark behind the
-// million-peer analysis path: the full experiment suite on the
-// crawl-scale study, at one worker and at GOMAXPROCS workers. The
-// outputs are bit-identical; the workers=max/workers=1 ratio is the
-// suite's parallel speedup (≥4x expected on a multi-core CI runner).
-// Besides ns/op it reports ns/figure, the anchor-normalized per-
-// experiment cost `make bench-diff` gates, so a serial consumer
-// sneaking back into a dominant kernel fails CI even on machines
-// whose core counts differ from the baseline's.
-func BenchmarkSuiteScale(b *testing.B) {
-	s := suiteScaleSetup(b)
-	numExperiments := len(analysis.SuiteIDs())
-	reg := s.World.Registry
-	for _, variant := range []struct {
-		name    string
-		workers int
-	}{{"workers=1", 1}, {"workers=max", 0}} {
-		b.Run(fmt.Sprintf("peers=%d/%s", s.Config.World.Peers, variant.name), func(b *testing.B) {
-			pool := runner.New(variant.workers)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = analysis.FullSuite(analysis.SuiteInput{
-					Full:         s.Full,
-					Filtered:     s.Filtered,
-					Extrapolated: s.Extrapolated,
-					Caches:       s.Caches,
-					Registry:     reg,
-					Seed:         1,
-					ListSizes:    benchListSizes,
-					Pool:         pool,
-				})
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*numExperiments), "ns/figure")
-		})
-	}
-}
-
-func BenchmarkAblationSuiteSerial(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = analysis.FullSuite(benchSuiteInput(s, runner.New(1)))
-	}
-}
-
-func BenchmarkAblationSuiteParallel(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = analysis.FullSuite(benchSuiteInput(s, runner.New(0)))
 	}
 }

@@ -51,7 +51,6 @@ func main() {
 		prefix   = flag.Int("prefix", 2, "nickname sweep depth (1..3 letters)")
 		budget   = flag.Int("budget", 0, "initial daily browse budget (0 = unlimited)")
 		final    = flag.Int("final-budget", 0, "final daily browse budget (models bandwidth decline)")
-		publish  = flag.Bool("publish", false, "serve the publication-backed source/keyword index too")
 		workers  = flag.Int("workers", 0, "worker pool size for world evolution (0 = GOMAXPROCS, 1 = serial); traces are identical for any value")
 		progress = flag.Bool("progress", false, "print a per-day heartbeat (day, peers stepped, snapshots, browse snap/s, resident bytes)")
 	)
@@ -74,7 +73,6 @@ func main() {
 		PrefixLen:     *prefix,
 		InitialBudget: *budget,
 		FinalBudget:   *final,
-		PublishFiles:  *publish,
 	}
 
 	if err := run(wcfg, ccfg, *out, *jsonOut, *progress); err != nil {

@@ -622,10 +622,3 @@ func fileRange(ri, numVals int) (lo, hi int) {
 	hi = min(lo+fileRangeChunk, numVals)
 	return lo, hi
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"slices"
-	"sync"
 	"testing"
 
 	"edonkey/internal/runner"
@@ -12,8 +10,9 @@ import (
 )
 
 // pairOverlapsMap is the pre-tracestore implementation of PairOverlaps,
-// kept verbatim as the benchmark baseline: invert through a hash map,
-// then count every co-occurrence into a map of packed pair keys.
+// kept verbatim as the reference PairOverlaps is tested against: invert
+// through a hash map, then count every co-occurrence into a map of
+// packed pair keys.
 func pairOverlapsMap(caches [][]trace.FileID, filter FileFilter) map[uint64]int32 {
 	holders := make(map[trace.FileID][]trace.PeerID)
 	for pid, cache := range caches {
@@ -73,71 +72,8 @@ func benchCaches(peers int) [][]trace.FileID {
 	return caches
 }
 
-var (
-	benchCachesMu    sync.Mutex
-	benchCachesCache = map[int][][]trace.FileID{}
-)
-
-func benchCachesFor(b *testing.B, peers int) [][]trace.FileID {
-	b.Helper()
-	benchCachesMu.Lock()
-	defer benchCachesMu.Unlock()
-	c, ok := benchCachesCache[peers]
-	if !ok {
-		c = benchCaches(peers)
-		benchCachesCache[peers] = c
-	}
-	return c
-}
-
-// BenchmarkPairOverlap compares the legacy map-based pair counting with
-// the columnar enumeration at several population sizes. The acceptance
-// bar for the store refactor is >= 3x at 10k+ peers.
-func BenchmarkPairOverlap(b *testing.B) {
-	for _, peers := range []int{2000, 10000, 20000} {
-		caches := benchCachesFor(b, peers)
-		b.Run(fmt.Sprintf("impl=map/peers=%d", peers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				h := int64(0)
-				for _, n := range pairOverlapsMap(caches, nil) {
-					h += int64(n)
-				}
-				_ = h
-			}
-		})
-		b.Run(fmt.Sprintf("impl=store/peers=%d", peers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				h := int64(0)
-				ForEachPairOverlap(caches, nil, func(_, _ trace.PeerID, n int32) {
-					h += int64(n)
-				})
-				_ = h
-			}
-		})
-		b.Run(fmt.Sprintf("impl=sharded/peers=%d", peers), func(b *testing.B) {
-			b.ReportAllocs()
-			pool := runner.New(0)
-			sn := SnapshotFromCaches(caches)
-			sn.Inverted() // steady state: index built once, reused per run
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				shards := ShardedPairOverlap(sn, nil, pool,
-					func() *int64 { return new(int64) },
-					func(h *int64, _, _ trace.PeerID, n int32) { *h += int64(n) })
-				h := int64(0)
-				for _, sh := range shards {
-					h += *sh
-				}
-				_ = h
-			}
-		})
-	}
-}
-
 // The sharded enumeration must agree with the serial one on the
-// benchmark population for every pool size, order included.
+// heavy-tailed population for every pool size, order included.
 func TestShardedPairOverlapMatchesSerial(t *testing.T) {
 	caches := benchCaches(1500)
 	sn := SnapshotFromCaches(caches)
@@ -169,7 +105,7 @@ func TestShardedPairOverlapMatchesSerial(t *testing.T) {
 }
 
 // The baseline and the store enumeration must agree bug-for-bug on the
-// benchmark population (and on the histogram the analyses consume).
+// heavy-tailed population (and on the histogram the analyses consume).
 func TestPairOverlapMatchesMapBaseline(t *testing.T) {
 	caches := benchCaches(1500)
 	want := pairOverlapsMap(caches, nil)

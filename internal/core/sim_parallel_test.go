@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 
 	"edonkey/internal/runner"
@@ -117,33 +116,6 @@ func TestRunSimShardedLoadPerPeer(t *testing.T) {
 	}
 	if sum != got.Messages {
 		t.Fatalf("load sum %d != messages %d", sum, got.Messages)
-	}
-}
-
-var (
-	benchSimOnce   sync.Once
-	benchSimCaches [][]trace.FileID
-)
-
-// BenchmarkRunSimParallel measures one simulation point's sharded event
-// loop at one worker against the whole machine, on a 20k-peer skewed
-// population (~450k request events per run). The "max" label (instead
-// of the GOMAXPROCS number) keeps the op name stable across machines so
-// benchjson diffs the trajectory; the two sub-benchmarks produce
-// bit-identical SimResults, only wall-clock differs.
-func BenchmarkRunSimParallel(b *testing.B) {
-	benchSimOnce.Do(func() { benchSimCaches = skewedCaches(20000, 60000, 22, 7) })
-	for _, v := range []struct {
-		label   string
-		workers int
-	}{{"1", 1}, {"max", 0}} {
-		b.Run("workers="+v.label, func(b *testing.B) {
-			opt := SimOptions{ListSize: 20, Kind: LRU, Seed: 1, Pool: runner.New(v.workers)}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = RunSim(benchSimCaches, opt)
-			}
-		})
 	}
 }
 

@@ -43,10 +43,6 @@ type Config struct {
 	// paper's declining crawler bandwidth. 0 means unlimited.
 	InitialBudget int
 	FinalBudget   int
-	// PublishFiles makes every simulated client publish its cache to
-	// the server each day (not required for browsing; enable to
-	// exercise the source/search index).
-	PublishFiles bool
 }
 
 // DefaultConfig returns an unlimited-budget 2-letter sweep.
@@ -118,7 +114,7 @@ func New(w *workload.World, cfg Config) (*Crawler, error) {
 		peerIDs: make(map[identityKey]trace.PeerID),
 		fileIDs: make(map[[16]byte]trace.FileID),
 	}
-	gw, err := newWorldGateway(w, cfg, c.network)
+	gw, err := newWorldGateway(w, c.network)
 	if err != nil {
 		return nil, err
 	}

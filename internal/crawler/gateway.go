@@ -2,7 +2,6 @@ package crawler
 
 import (
 	"bufio"
-	"bytes"
 	"net"
 	"slices"
 	"sort"
@@ -41,7 +40,6 @@ import (
 // crawls are bit-identical for any worker count.
 type worldGateway struct {
 	w   *workload.World
-	cfg Config
 	net *edonkey.Network
 
 	// maxUserReplies is the served reply cap (DefaultMaxUserReplies;
@@ -61,13 +59,6 @@ type worldGateway struct {
 
 	mu       sync.Mutex
 	sessions []protocol.UserEntry // wire logins (the crawler itself)
-
-	// hash -> catalogue index, built lazily for the publish-backed
-	// source/keyword queries (nil until first needed) and topped up when
-	// the catalogue has grown since.
-	hashMu   sync.Mutex
-	hashIdx  map[[16]byte]int32
-	hashSize int // catalogue length the index covers
 
 	// frames recycles the browse handlers' reply buffers. A handler
 	// holds one only while it renders and writes a reply — a memconn
@@ -92,8 +83,8 @@ type requestReader struct {
 // skipped through it.
 const requestBuffer = 1 << 10
 
-func newWorldGateway(w *workload.World, cfg Config, n *edonkey.Network) (*worldGateway, error) {
-	g := &worldGateway{w: w, cfg: cfg, net: n, maxUserReplies: edonkey.DefaultMaxUserReplies}
+func newWorldGateway(w *workload.World, n *edonkey.Network) (*worldGateway, error) {
+	g := &worldGateway{w: w, net: n, maxUserReplies: edonkey.DefaultMaxUserReplies}
 	g.frames.New = func() any { return new([]byte) }
 	g.readers.New = func() any { return &requestReader{br: bufio.NewReaderSize(nil, requestBuffer)} }
 	g.buildNickOrder()
@@ -143,55 +134,35 @@ func (g *worldGateway) buildNickOrder() {
 	})
 }
 
-func (g *worldGateway) endpointOf(i, day int) protocol.Endpoint {
-	ip, _ := g.w.IdentityAt(i, day)
-	return protocol.Endpoint{IP: ip, Port: workload.ClientPort(i)}
-}
-
 // beginDay re-derives the day's server-side state from the world
-// columns: who is logged in, who probes reachable and who owns a
-// contested endpoint. The pass replays the legacy login sequence
-// exactly — clients "log in" in index order, a non-firewalled client
-// claims its endpoint (first claimant wins, later colliders drop off the
-// network for the day, like a real NAT conflict), and a firewalled
-// client counts as reachable only if an earlier client already listens
-// on its endpoint (the probe quirk the boxed path had).
+// columns — who is logged in, who probes reachable and who owns a
+// contested endpoint — from one replay of the day's login sequence
+// (workload.World.ReplayLogins has the rules).
 func (g *worldGateway) beginDay(day int) {
 	w := g.w
-	n := w.NumClients()
 	g.day = day
 	if g.participating == nil {
-		g.participating = make([]bool, n)
-		g.reachable = make([]bool, n)
+		g.participating = make([]bool, w.NumClients())
+		g.reachable = make([]bool, w.NumClients())
 	}
+	clear(g.participating)
+	clear(g.reachable)
 	g.epOwner = make(map[protocol.Endpoint]int32, w.OnlineCount())
 	g.browsable = make(map[identityKey]struct{}, w.OnlineCount())
 	g.mu.Lock()
 	g.sessions = nil // day boundary: every wire session re-logs
 	g.mu.Unlock()
-	for i := 0; i < n; i++ {
-		g.participating[i] = false
-		g.reachable[i] = false
-		if !w.Online(i) {
-			continue
+	w.ReplayLogins(day, func(i int, ip uint32, hash [16]byte, reachable bool) {
+		g.participating[i] = true
+		g.reachable[i] = reachable
+		if w.Firewalled(i) {
+			return // logged in, listening nowhere
 		}
-		ip, hash := w.IdentityAt(i, day)
-		ep := protocol.Endpoint{IP: ip, Port: workload.ClientPort(i)}
-		if !w.Firewalled(i) {
-			if _, taken := g.epOwner[ep]; taken {
-				continue // endpoint collision: loses the address today
-			}
-			g.epOwner[ep] = int32(i)
-			g.participating[i] = true
-			g.reachable[i] = true
-			if w.BrowseOK(i) {
-				g.browsable[identityKey{hash, ip}] = struct{}{}
-			}
-		} else {
-			g.participating[i] = true
-			_, g.reachable[i] = g.epOwner[ep]
+		g.epOwner[protocol.Endpoint{IP: ip, Port: workload.ClientPort(i)}] = int32(i)
+		if w.BrowseOK(i) {
+			g.browsable[identityKey{hash, ip}] = struct{}{}
 		}
-	}
+	})
 }
 
 // wasBrowsable reports whether the identity belonged to a client that
@@ -211,10 +182,7 @@ func (g *worldGateway) userEntry(i int) protocol.UserEntry {
 	ip, hash := g.w.IdentityAt(i, g.day)
 	id := uint32(1) // low ID
 	if g.reachable[i] {
-		id = ip
-		if id < protocol.LowIDThreshold {
-			id += protocol.LowIDThreshold
-		}
+		id = protocol.HighID(ip)
 	}
 	return protocol.UserEntry{
 		Hash:     hash,
@@ -259,135 +227,13 @@ func (g *worldGateway) UsersWithPrefix(prefix string, yield func(protocol.UserEn
 	}
 }
 
-// fileIndex lazily builds the hash -> catalogue index used by the
-// publish-backed queries, and tops it up whenever the catalogue has
-// released files since the last query (the columns are append-only, so
-// the top-up is just the new suffix). A straight crawl never sends those
-// queries, so the million-peer path never pays for this map.
-func (g *worldGateway) fileIndex() map[[16]byte]int32 {
-	g.hashMu.Lock()
-	defer g.hashMu.Unlock()
-	n := g.w.NumFiles()
-	if g.hashIdx == nil {
-		g.hashIdx = make(map[[16]byte]int32, n)
-	}
-	for fi := g.hashSize; fi < n; fi++ {
-		g.hashIdx[g.w.FileHash(fi)] = int32(fi)
-	}
-	g.hashSize = n
-	return g.hashIdx
-}
+// Nothing is published to the gateway — the crawler, its only caller,
+// never offers files and never asks for sources or keywords — so it
+// answers both queries like an index nobody published to. The world-
+// backed index is served where it is asked for: serve.SnapshotFromWorld.
+func (g *worldGateway) ForEachSource([16]byte, func(protocol.Endpoint) bool) {}
 
-// holders returns the logged-in clients sharing catalogue file fi, in
-// client order.
-func (g *worldGateway) holders(fi int32) []int {
-	var out []int
-	for i := 0; i < g.w.NumClients(); i++ {
-		if !g.participating[i] {
-			continue
-		}
-		files, _ := g.w.CacheView(i)
-		if _, ok := slices.BinarySearch(files, fi); ok {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func (g *worldGateway) ForEachSource(hash [16]byte, yield func(protocol.Endpoint) bool) {
-	if !g.cfg.PublishFiles {
-		return // nothing was published to the index
-	}
-	fi, ok := g.fileIndex()[hash]
-	if !ok {
-		return
-	}
-	var out []protocol.Endpoint
-	for _, i := range g.holders(fi) {
-		out = append(out, g.endpointOf(i, g.day))
-	}
-	slices.SortFunc(out, func(a, b protocol.Endpoint) int {
-		if a.IP != b.IP {
-			if a.IP < b.IP {
-				return -1
-			}
-			return 1
-		}
-		return int(a.Port) - int(b.Port)
-	})
-	for _, ep := range out {
-		if !yield(ep) {
-			return
-		}
-	}
-}
-
-func (g *worldGateway) ForEachFile(keyword string, yield func(protocol.FileEntry) bool) {
-	if !g.cfg.PublishFiles {
-		return
-	}
-	// One pass over the catalogue names finds the keyword matches, then
-	// one pass over the logged-in caches counts each match's sources —
-	// O(catalogue + cached files) per query regardless of how many files
-	// match, instead of an O(clients) holder scan per match.
-	matches := make(map[int32]uint32)
-	for fi := 0; fi < g.w.NumFiles(); fi++ {
-		if nameHasToken(g.w.FileName(fi), keyword) {
-			matches[int32(fi)] = 0
-		}
-	}
-	if len(matches) == 0 {
-		return
-	}
-	for i := 0; i < g.w.NumClients(); i++ {
-		if !g.participating[i] {
-			continue
-		}
-		files, _ := g.w.CacheView(i)
-		for _, fi := range files {
-			if n, ok := matches[fi]; ok {
-				matches[fi] = n + 1
-			}
-		}
-	}
-	var out []protocol.FileEntry
-	for fi, sources := range matches {
-		if sources == 0 {
-			continue // unpublished: no online client shares it
-		}
-		out = append(out, protocol.FileEntry{
-			Hash:         g.w.FileHash(int(fi)),
-			Size:         uint64(g.w.FileSize(int(fi))),
-			Name:         g.w.FileName(int(fi)),
-			Type:         g.w.FileKind(int(fi)).String(),
-			Availability: sources,
-		})
-	}
-	slices.SortFunc(out, func(a, b protocol.FileEntry) int {
-		return bytes.Compare(a.Hash[:], b.Hash[:])
-	})
-	for _, f := range out {
-		if !yield(f) {
-			return
-		}
-	}
-}
-
-// nameHasToken mirrors the boxed server's name tokenizer.
-func nameHasToken(name, token string) bool {
-	for _, t := range strings.FieldsFunc(strings.ToLower(name), func(r rune) bool {
-		switch r {
-		case '_', '.', '-', ' ', '(', ')', '[', ']':
-			return true
-		}
-		return false
-	}) {
-		if t == token {
-			return true
-		}
-	}
-	return false
-}
+func (g *worldGateway) ForEachFile(string, func(protocol.FileEntry) bool) {}
 
 // --- wire handlers --------------------------------------------------------
 
@@ -440,10 +286,7 @@ func (g *worldGateway) serveServer(conn net.Conn) {
 func (g *worldGateway) handleLogin(req *protocol.LoginRequest) protocol.Message {
 	id := uint32(1)
 	if g.net.Listening(req.Endpoint) {
-		id = req.Endpoint.IP
-		if id < protocol.LowIDThreshold {
-			id += protocol.LowIDThreshold
-		}
+		id = protocol.HighID(req.Endpoint.IP)
 	}
 	g.mu.Lock()
 	g.sessions = append(g.sessions, protocol.UserEntry{

@@ -2,12 +2,13 @@ package crawler
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"edonkey/internal/edonkey"
 	"edonkey/internal/protocol"
+	"edonkey/internal/serve"
 	"edonkey/internal/trace"
 	"edonkey/internal/workload"
 )
@@ -103,70 +104,72 @@ func TestTruncatedDiscoveryIsDeterministic(t *testing.T) {
 	}
 }
 
-// The publish-backed queries (source lookup, keyword search) must answer
-// from the live world on every day — including files released after the
-// first query built the hash index.
-func TestGatewayPublishQueries(t *testing.T) {
-	cfg := crawlWorldConfig(33)
-	w, err := workload.New(cfg)
+// serve.SnapshotFromWorld promises that a query answered from the frozen
+// day matches one answered by the gateway over the same world day. Both
+// read who is logged in, and under which ID, off one replay of the login
+// sequence; this pins what each makes of it — the gateway's per-client
+// flags behind a nickname permutation, the snapshot's sorted user
+// columns — reply byte for reply byte, on two consecutive days, at the
+// real cap and at one low enough that truncation order is covered.
+func TestGatewayAndSnapshotAnswerAlike(t *testing.T) {
+	w, err := workload.New(crawlWorldConfig(35))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(w, Config{PrefixLen: 2, PublishFiles: true})
+	c, err := New(w, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := c.gateway
-
-	// sharedFile returns a catalogue file some logged-in client shares,
-	// released no earlier than minRelease.
-	sharedFile := func(minRelease int) int32 {
-		for i := 0; i < w.NumClients(); i++ {
-			if !g.participating[i] {
-				continue
-			}
-			files, _ := w.CacheView(i)
-			for _, fi := range files {
-				if w.FileRelease(int(fi)) >= minRelease {
-					return fi
+	requests := []protocol.Message{&protocol.GetServerList{}, &protocol.SearchUser{}}
+	const letters = "abcdefghijklmnopqrstuvwxyz"
+	for _, a := range letters {
+		requests = append(requests, &protocol.SearchUser{Query: string(a)})
+		for _, b := range letters {
+			requests = append(requests, &protocol.SearchUser{Query: string(a) + string(b)})
+		}
+	}
+	for day := 0; day < 2; day++ {
+		if day > 0 {
+			w.Step()
+		}
+		g.beginDay(day)
+		snap := serve.SnapshotFromWorld(w, day)
+		for _, limit := range []int{edonkey.DefaultMaxUserReplies, 3} {
+			gateway, frozen := g.core(), g.core()
+			gateway.MaxUserReplies, frozen.MaxUserReplies = limit, limit
+			frozen.Dir = snap
+			var want, got []byte
+			var users, lowID, truncated int
+			for _, req := range requests {
+				want, _ = gateway.AppendReply(want[:0], req)
+				got, _ = frozen.AppendReply(got[:0], req)
+				if !bytes.Equal(want, got) {
+					t.Fatalf("day %d, limit %d, %#v: the snapshot's reply differs from the gateway's", day, limit, req)
 				}
+				m, err := protocol.ReadMessage(bytes.NewReader(got))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res, ok := m.(*protocol.SearchUserResult); ok && req.(*protocol.SearchUser).Query != "" {
+					users += len(res.Users)
+					if len(res.Users) == limit {
+						truncated++
+					}
+					for _, u := range res.Users {
+						if u.ClientID < protocol.LowIDThreshold {
+							lowID++
+						}
+					}
+				}
+			}
+			if users == 0 || lowID == 0 || lowID == users {
+				t.Fatalf("day %d, limit %d: %d users listed, %d of them low-ID: the world exercises nothing", day, limit, users, lowID)
+			}
+			if limit == 3 && truncated == 0 {
+				t.Fatalf("day %d: no reply reached a limit of %d", day, limit)
 			}
 		}
-		t.Fatalf("no shared file released at day >= %d", minRelease)
-		return -1
-	}
-	query := func(fi int32) (sources int, found bool) {
-		g.ForEachSource(w.FileHash(int(fi)), func(protocol.Endpoint) bool {
-			sources++
-			return true
-		})
-		// Keyword search by the file's topic token must include it too.
-		tok := fmt.Sprintf("t%03d", w.FileTopic(int(fi)))
-		g.ForEachFile(tok, func(f protocol.FileEntry) bool {
-			if f.Hash == w.FileHash(int(fi)) {
-				if int(f.Availability) != sources {
-					t.Fatalf("availability %d != %d sources", f.Availability, sources)
-				}
-				found = true
-			}
-			return true
-		})
-		return sources, found
-	}
-
-	g.beginDay(0)
-	fi0 := sharedFile(-90)
-	if n, ok := query(fi0); n == 0 || !ok {
-		t.Fatalf("day 0: file %d not served (sources %d, in search %v)", fi0, n, ok)
-	}
-
-	// Advance a day; a file released on day 1 enters caches after the
-	// index was first built, and must still be served.
-	w.Step()
-	g.beginDay(1)
-	fi1 := sharedFile(1)
-	if n, ok := query(fi1); n == 0 || !ok {
-		t.Fatalf("day 1: freshly released file %d not served (sources %d, in search %v)", fi1, n, ok)
 	}
 }
 

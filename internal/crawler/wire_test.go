@@ -32,7 +32,8 @@ func dayOneGateway(t testing.TB, seed uint64) (*Crawler, *edonkey.Client, protoc
 	g.beginDay(0)
 	me := edonkey.NewClient(c.network, [16]byte{0xCA, 0x11}, crawlerEndpoint, "crawler")
 	for i := 0; i < w.NumClients(); i++ {
-		ep := g.endpointOf(i, 0)
+		ip, _ := w.IdentityAt(i, 0)
+		ep := protocol.Endpoint{IP: ip, Port: workload.ClientPort(i)}
 		if owner, ok := g.epOwner[ep]; ok && int(owner) == i && w.BrowseOK(i) && w.CacheSize(i) > 0 {
 			return c, me, ep
 		}
@@ -160,7 +161,7 @@ func rawExchange(t *testing.T, conn net.Conn, frame []byte) (protocol.Message, e
 // The gateway reads as a server reads: requests only, each kind within
 // its payload cap. Anything else ends the session without an answer.
 func TestGatewayRefusesWhatAServerRefuses(t *testing.T) {
-	c, _, target := dayOneGateway(t, 44)
+	c, me, target := dayOneGateway(t, 44)
 	frameOf := func(m protocol.Message) []byte {
 		frame, err := protocol.AppendMessage(nil, m)
 		if err != nil {
@@ -211,6 +212,28 @@ func TestGatewayRefusesWhatAServerRefuses(t *testing.T) {
 			t.Errorf("%v: reply %#v, err %v; want Reject %q", tc.ep, reply, err, tc.reason)
 		}
 		conn.Close()
+	}
+
+	// Nobody publishes to the gateway: a source or keyword query gets the
+	// well-formed empty answer of an index that holds nothing, even for
+	// a file and a topic the target shares.
+	shared, err := me.Browse(target)
+	if err != nil || len(shared) == 0 {
+		t.Fatalf("browse of the target: %d files, err %v", len(shared), err)
+	}
+	conn, err := c.network.Dial(serverEndpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	reply, err := rawExchange(t, conn, frameOf(&protocol.GetSources{Hash: shared[0].Hash}))
+	if r, ok := reply.(*protocol.FoundSources); !ok || r.Hash != shared[0].Hash || len(r.Sources) != 0 {
+		t.Errorf("GetSources: reply %#v, err %v; want FoundSources for the hash with no source", reply, err)
+	}
+	keyword := protocol.Tokenize(shared[0].Name)[0]
+	reply, err = rawExchange(t, conn, frameOf(&protocol.SearchRequest{Keyword: keyword}))
+	if r, ok := reply.(*protocol.SearchResult); !ok || len(r.Files) != 0 {
+		t.Errorf("SearchRequest %q: reply %#v, err %v; want an empty SearchResult", keyword, reply, err)
 	}
 }
 

@@ -197,13 +197,19 @@ func request(conn net.Conn, req protocol.Message, timeout time.Duration) (protoc
 // and wants the reply undecoded: it returns the reply's opcode and
 // payload in scratch (see protocol.ReadFrame).
 func requestFrame(conn net.Conn, req, scratch []byte, timeout time.Duration) (op byte, payload, grown []byte, err error) {
-	if err := SetExchangeDeadline(conn, timeout); err != nil {
-		return 0, nil, scratch, err
-	}
-	if _, err := conn.Write(req); err != nil {
+	if err := sendFrame(conn, req, timeout); err != nil {
 		return 0, nil, scratch, err
 	}
 	return protocol.ReadFrame(conn, scratch)
+}
+
+// sendFrame is send for a caller that holds its message encoded.
+func sendFrame(conn net.Conn, frame []byte, timeout time.Duration) error {
+	if err := SetExchangeDeadline(conn, timeout); err != nil {
+		return err
+	}
+	_, err := conn.Write(frame)
+	return err
 }
 
 // send writes one message with a deadline and no expected reply.

@@ -2,7 +2,6 @@ package edonkey
 
 import (
 	"bytes"
-	"cmp"
 	"net"
 	"slices"
 	"strings"
@@ -79,7 +78,7 @@ func (d *serverDirectory) ForEachServer(yield func(protocol.Endpoint) bool) {
 		out = append(out, ep)
 	}
 	d.mu.RUnlock()
-	slices.SortFunc(out, compareEndpoints)
+	slices.SortFunc(out, protocol.Endpoint.Compare)
 	for _, ep := range out {
 		if !yield(ep) {
 			return
@@ -116,7 +115,7 @@ func (d *serverDirectory) ForEachSource(hash [16]byte, yield func(protocol.Endpo
 		}
 	}
 	d.mu.RUnlock()
-	slices.SortFunc(out, compareEndpoints)
+	slices.SortFunc(out, protocol.Endpoint.Compare)
 	for _, ep := range out {
 		if !yield(ep) {
 			return
@@ -142,13 +141,6 @@ func (d *serverDirectory) ForEachFile(keyword string, yield func(protocol.FileEn
 			return
 		}
 	}
-}
-
-func compareEndpoints(a, b protocol.Endpoint) int {
-	if a.IP != b.IP {
-		return cmp.Compare(a.IP, b.IP)
-	}
-	return cmp.Compare(a.Port, b.Port)
 }
 
 // NewServer creates a server on the given endpoint of the switchboard.
@@ -200,34 +192,39 @@ func (s *Server) DisconnectAll() {
 
 // Serve handles one client connection until it closes. Session state
 // (login, publications) is handled here; queries route through the
-// shared protocol.ServerCore request engine.
+// shared protocol.ServerCore request engine, every reply rendered into
+// the session's one buffer.
 func (s *Server) Serve(conn net.Conn) {
 	defer conn.Close()
 	core := s.core()
 	var sessionUser *userRecord
+	var reply []byte
 	for {
 		m, err := protocol.ReadMessage(conn)
 		if err != nil {
 			return // EOF or peer error: session over
 		}
-		var reply protocol.Message
 		switch req := m.(type) {
 		case *protocol.LoginRequest:
-			sessionUser, reply = s.handleLogin(req)
+			var idChange protocol.Message
+			sessionUser, idChange = s.handleLogin(req)
+			reply, _ = protocol.AppendMessage(reply[:0], idChange)
 		case *protocol.OfferFiles:
 			s.handleOffer(sessionUser, req)
 			continue // no reply, like the original protocol
 		default:
 			var handled bool
-			if reply, handled = core.Handle(m); !handled {
-				reply = &protocol.Reject{Reason: "unsupported request"}
+			if reply, handled = core.AppendReply(reply[:0], m); !handled {
+				reply, _ = protocol.AppendMessage(reply[:0], rejectUnsupported)
 			}
 		}
-		if err := send(conn, reply, s.net.DialTimeout); err != nil {
+		if err := sendFrame(conn, reply, s.net.DialTimeout); err != nil {
 			return
 		}
 	}
 }
+
+var rejectUnsupported = &protocol.Reject{Reason: "unsupported request"}
 
 // handleLogin registers the user and assigns a client ID. Reachability is
 // checked with a callback probe, as real servers did: unreachable clients
@@ -249,10 +246,7 @@ func (s *Server) handleLogin(req *protocol.LoginRequest) (*userRecord, protocol.
 	u.nickname = req.Nickname
 	if highID {
 		// High IDs encode the address, loosely like the original.
-		u.clientID = req.Endpoint.IP
-		if u.clientID < protocol.LowIDThreshold {
-			u.clientID += protocol.LowIDThreshold
-		}
+		u.clientID = protocol.HighID(req.Endpoint.IP)
 	} else {
 		s.nextID--
 		if s.nextID == 0 {
@@ -266,16 +260,6 @@ func (s *Server) handleLogin(req *protocol.LoginRequest) (*userRecord, protocol.
 	return u, &protocol.IDChange{ClientID: u.clientID}
 }
 
-func tokenize(name string) []string {
-	return strings.FieldsFunc(strings.ToLower(name), func(r rune) bool {
-		switch r {
-		case '_', '.', '-', ' ', '(', ')', '[', ']':
-			return true
-		}
-		return false
-	})
-}
-
 func (s *Server) handleOffer(u *userRecord, req *protocol.OfferFiles) {
 	if u == nil {
 		return // publications require a login
@@ -287,7 +271,7 @@ func (s *Server) handleOffer(u *userRecord, req *protocol.OfferFiles) {
 		if !ok {
 			rec = &fileRecord{entry: f, sources: make(map[[16]byte]protocol.Endpoint)}
 			s.files[f.Hash] = rec
-			for _, tok := range tokenize(f.Name) {
+			for _, tok := range protocol.Tokenize(f.Name) {
 				set := s.keyword[tok]
 				if set == nil {
 					set = make(map[[16]byte]struct{})

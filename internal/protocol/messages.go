@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"cmp"
 	"encoding/binary"
 )
 
@@ -8,6 +9,15 @@ import (
 type Endpoint struct {
 	IP   uint32
 	Port uint16
+}
+
+// Compare orders endpoints by IP, then port: the order every directory
+// lists sources and servers in.
+func (e Endpoint) Compare(o Endpoint) int {
+	if c := cmp.Compare(e.IP, o.IP); c != 0 {
+		return c
+	}
+	return cmp.Compare(e.Port, o.Port)
 }
 
 func appendEndpoint(dst []byte, e Endpoint) []byte {
@@ -463,6 +473,15 @@ type IDChange struct{ ClientID uint32 }
 
 // LowIDThreshold separates firewalled (low) from reachable (high) IDs.
 const LowIDThreshold = 0x01000000
+
+// HighID is the ID a server assigns a client it could reach at ip: the
+// address itself, lifted out of the low range where it would fall there.
+func HighID(ip uint32) uint32 {
+	if ip < LowIDThreshold {
+		return ip + LowIDThreshold
+	}
+	return ip
+}
 
 func (*IDChange) Opcode() byte { return OpIDChange }
 

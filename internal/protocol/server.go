@@ -10,6 +10,7 @@ package protocol
 
 import (
 	"encoding/binary"
+	"slices"
 	"strings"
 )
 
@@ -30,6 +31,25 @@ type Directory interface {
 	// ForEachFile visits the published entries matching a (lowercased)
 	// keyword token, with Availability filled in.
 	ForEachFile(keyword string, yield func(FileEntry) bool)
+}
+
+// Tokenize splits a file name into the lowercased keyword tokens a
+// directory indexes it under, each token once.
+func Tokenize(name string) []string {
+	toks := strings.FieldsFunc(strings.ToLower(name), func(r rune) bool {
+		switch r {
+		case '_', '.', '-', ' ', '(', ')', '[', ']':
+			return true
+		}
+		return false
+	})
+	out := toks[:0]
+	for _, t := range toks {
+		if !slices.Contains(out, t) {
+			out = append(out, t)
+		}
+	}
+	return out
 }
 
 // ServerCore turns server-bound request messages into replies using a

@@ -54,7 +54,7 @@ func someQuery(snap *Snapshot) (hash [16]byte, kw string) {
 			fi = k
 		}
 	}
-	return snap.fileHash[fi], tokenize(snap.fileName[fi])[0]
+	return snap.fileHash[fi], protocol.Tokenize(snap.fileName[fi])[0]
 }
 
 // corpus returns a request mix covering every reply shape: empty and
@@ -217,7 +217,7 @@ func referenceStream(t *testing.T, reqs []protocol.Message) []byte {
 		var reply protocol.Message
 		switch m := req.(type) {
 		case *protocol.LoginRequest:
-			reply = &protocol.IDChange{ClientID: highID(m.Endpoint.IP)}
+			reply = &protocol.IDChange{ClientID: protocol.HighID(m.Endpoint.IP)}
 		case *protocol.OfferFiles:
 			continue
 		default:

@@ -299,7 +299,7 @@ func (s *Server) appendReply(sess *session, dst []byte, m protocol.Message) []by
 	switch req := m.(type) {
 	case *protocol.LoginRequest:
 		s.c.logins.Add(1)
-		sess.id.ClientID = highID(req.Endpoint.IP)
+		sess.id.ClientID = protocol.HighID(req.Endpoint.IP)
 		out, _ := protocol.AppendMessage(dst, &sess.id)
 		return out
 	case *protocol.OfferFiles:

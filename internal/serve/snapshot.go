@@ -162,15 +162,6 @@ func (s *Snapshot) SearchFiles(kw string) []protocol.FileEntry {
 	return out
 }
 
-// highID derives the reachable (high) client ID from an IP, lifting IPs
-// that would collide with the low-ID range.
-func highID(ip uint32) uint32 {
-	if ip < protocol.LowIDThreshold {
-		return ip + protocol.LowIDThreshold
-	}
-	return ip
-}
-
 // user is the construction-time row shape; build sorts these once and
 // splits them into the packed columns.
 type user struct {
@@ -270,22 +261,14 @@ func build(users []user, files []fileRow, holders []holder) *Snapshot {
 	}
 	for p := 0; p < published; p++ {
 		span := s.holderEps[s.holderOff[p]:s.holderOff[p+1]]
-		slices.SortFunc(span, func(a, b protocol.Endpoint) int {
-			if a.IP != b.IP {
-				if a.IP < b.IP {
-					return -1
-				}
-				return 1
-			}
-			return int(a.Port) - int(b.Port)
-		})
+		slices.SortFunc(span, protocol.Endpoint.Compare)
 	}
 
 	// Keyword index over published names, spans hash-sorted so a search
 	// reply comes out in the gateway's order without a per-query sort.
 	s.keyword = make(map[string][]int32)
 	for p := 0; p < published; p++ {
-		for _, tok := range tokenize(s.fileName[p]) {
+		for _, tok := range protocol.Tokenize(s.fileName[p]) {
 			s.keyword[tok] = append(s.keyword[tok], int32(p))
 		}
 	}
@@ -297,56 +280,19 @@ func build(users []user, files []fileRow, holders []holder) *Snapshot {
 	return s
 }
 
-// tokenize mirrors the boxed server's file-name tokenizer, deduplicated
-// (a token appearing twice in one name must index the file once).
-func tokenize(name string) []string {
-	toks := strings.FieldsFunc(strings.ToLower(name), func(r rune) bool {
-		switch r {
-		case '_', '.', '-', ' ', '(', ')', '[', ']':
-			return true
-		}
-		return false
-	})
-	out := toks[:0]
-	for _, t := range toks {
-		if !slices.Contains(out, t) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// SnapshotFromWorld freezes the world's given day. It replays the crawl
-// gateway's login-sequence semantics exactly — clients claim endpoints
-// in index order, first claimant wins and later colliders drop off for
-// the day, a firewalled client logs in low-ID and is reachable only
-// through an endpoint an earlier client already claimed — so a query
-// answered from this snapshot matches one answered by the gateway over
-// the same world day.
+// SnapshotFromWorld freezes the world's given day: who is logged in and
+// under which ID comes from the same replay of the day's login sequence
+// the crawl gateway answers from (workload.World.ReplayLogins), so a
+// query answered from this snapshot matches one answered by the gateway
+// over the same world day.
 func SnapshotFromWorld(w *workload.World, day int) *Snapshot {
-	n := w.NumClients()
-	epOwner := make(map[protocol.Endpoint]int32, w.OnlineCount())
 	users := make([]user, 0, w.OnlineCount())
 	var holders []holder
-	for i := 0; i < n; i++ {
-		if !w.Online(i) {
-			continue
-		}
-		ip, hash := w.IdentityAt(i, day)
+	w.ReplayLogins(day, func(i int, ip uint32, hash [16]byte, reachable bool) {
 		ep := protocol.Endpoint{IP: ip, Port: workload.ClientPort(i)}
-		reachable := false
-		if !w.Firewalled(i) {
-			if _, taken := epOwner[ep]; taken {
-				continue // endpoint collision: off the network today
-			}
-			epOwner[ep] = int32(i)
-			reachable = true
-		} else if _, claimed := epOwner[ep]; claimed {
-			reachable = true // the legacy probe quirk
-		}
 		id := uint32(1)
 		if reachable {
-			id = highID(ip)
+			id = protocol.HighID(ip)
 		}
 		users = append(users, user{
 			nick: w.Nickname(i), hash: hash, ip: ip, port: ep.Port, id: id, idx: i,
@@ -355,7 +301,7 @@ func SnapshotFromWorld(w *workload.World, day int) *Snapshot {
 		for _, fi := range files {
 			holders = append(holders, holder{fi: fi, ep: ep})
 		}
-	}
+	})
 	files := make([]fileRow, w.NumFiles())
 	for fi := range files {
 		files[fi] = fileRow{
@@ -381,7 +327,7 @@ func SnapshotFromTrace(tr *trace.Trace, dayIdx int) *Snapshot {
 		ep := protocol.Endpoint{IP: ip, Port: workload.ClientPort(int(p))}
 		id := uint32(1)
 		if !tr.PeerFirewalled(p) {
-			id = highID(ip)
+			id = protocol.HighID(ip)
 		}
 		users = append(users, user{
 			nick: tr.PeerNickname(p),

@@ -1039,6 +1039,37 @@ func (w *World) IdentityAt(i, day int) (ip uint32, hash [16]byte) {
 // a capture names the peers the crawl dialled.
 func ClientPort(i int) uint16 { return uint16(4000 + i%60000) }
 
+// ReplayLogins replays the day's login sequence at a first-tier server,
+// the one pass the crawl's gateway and a snapshot served from the world
+// both answer from. Online clients log in in index order. A client that
+// is not firewalled claims its endpoint (IdentityAt's IP, ClientPort):
+// the first claimant listens there, and a later one loses the address
+// for the day and is not logged in at all, like a real NAT conflict. A
+// firewalled client logs in without claiming, and probes reachable only
+// where an earlier client already listens on its endpoint — the server's
+// callback probe reaches whoever answers there. visit sees each
+// logged-in client once, with the day's identity; the ones that are not
+// firewalled are the ones that listen.
+func (w *World) ReplayLogins(day int, visit func(i int, ip uint32, hash [16]byte, reachable bool)) {
+	claimed := make(map[uint64]struct{}, w.onlineCount)
+	for i := 0; i < w.NumClients(); i++ {
+		if !w.Online(i) {
+			continue
+		}
+		ip, hash := w.IdentityAt(i, day)
+		ep := uint64(ip)<<16 | uint64(ClientPort(i))
+		_, taken := claimed[ep]
+		firewalled := w.Firewalled(i)
+		if !firewalled {
+			if taken {
+				continue // endpoint collision: off the network today
+			}
+			claimed[ep] = struct{}{}
+		}
+		visit(i, ip, hash, !firewalled || taken)
+	}
+}
+
 // CacheSize returns the number of files client i currently shares.
 func (w *World) CacheSize(i int) int { return int(w.cl.cacheLen[i]) }
 

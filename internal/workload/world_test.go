@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"edonkey/internal/stats"
@@ -517,5 +518,58 @@ func TestCollectDeterministicAcrossWorkers(t *testing.T) {
 		if !a.Equal(b) {
 			t.Fatalf("day %d: snapshots differ", a.Day)
 		}
+	}
+}
+
+// The login replay's rules, on a world built by hand so that endpoints
+// do collide: ClientPort repeats every 60000 clients, so two clients
+// that far apart with one IP contend for one endpoint — which no world
+// small enough for a test produces on its own.
+func TestReplayLoginsRules(t *testing.T) {
+	clients := []struct {
+		i     int
+		ip    uint32
+		flags uint8
+	}{
+		{0, 10, flagOnline},                       // claims 10:4000
+		{1, 11, flagOnline | flagFirewalled},      // nobody listens on 11:4001 yet
+		{2, 12, 0},                                // offline
+		{60000, 10, flagOnline},                   // 10:4000 is taken: off the network today
+		{60001, 11, flagOnline},                   // client 1 claimed nothing: 11:4001 is free
+		{60002, 12, flagOnline | flagFirewalled},  // client 2 is offline: nobody listens on 12:4002
+		{120000, 10, flagOnline | flagFirewalled}, // the probe reaches client 0
+		{120001, 11, flagOnline | flagFirewalled}, // the probe reaches client 60001
+	}
+	type login struct {
+		i         int
+		ip        uint32
+		reachable bool
+	}
+	want := []login{{0, 10, true}, {1, 11, false}, {60001, 11, true}, {60002, 12, false}, {120000, 10, true}, {120001, 11, true}}
+
+	const n = 120002
+	w := &World{}
+	w.cl.flags = make([]uint8, n)
+	w.cl.identOff = make([]uint32, n+1)
+	for _, c := range clients {
+		w.cl.flags[c.i] = c.flags
+		w.cl.identOff[c.i+1] = 1
+	}
+	for i := 0; i < n; i++ {
+		w.cl.identOff[i+1] += w.cl.identOff[i]
+	}
+	for _, c := range clients {
+		w.cl.idents = append(w.cl.idents, identity{0, 0, c.ip, [16]byte{byte(c.ip)}})
+	}
+
+	var got []login
+	w.ReplayLogins(0, func(i int, ip uint32, hash [16]byte, reachable bool) {
+		if hash != ([16]byte{byte(ip)}) {
+			t.Errorf("client %d logs in with hash %x, not the one of its identity", i, hash)
+		}
+		got = append(got, login{i, ip, reachable})
+	})
+	if !slices.Equal(got, want) {
+		t.Errorf("logins (client, ip, reachable):\n got %v\nwant %v", got, want)
 	}
 }
