@@ -14,11 +14,14 @@ build:
 test:
 	$(GO) test ./...
 
-# The second run is for the two packages whose bugs depend on the
-# schedule: memconn's rendezvous and the switchboard that dials through it.
+# The repeated runs are for the packages whose bugs depend on the
+# schedule: memconn's rendezvous and the switchboard that dials through
+# it, and the simulator, whose evaluation jobs reuse per-point target
+# arenas that only the stream's ordering keeps apart.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/memconn ./internal/edonkey
+	$(GO) test -race -count=3 -cpu 1,2,4 ./internal/core ./internal/runner
 
 # The go-test benchmarks (one per table and figure, the derivation and
 # overlay ablations, the codec and dial micro-benchmarks) are for

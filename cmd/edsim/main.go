@@ -191,10 +191,3 @@ func makeStudy(tracePath string, seed uint64, peers, days, workers int) (*edonke
 	cfg.Workers = workers
 	return edonkey.NewStudy(cfg)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

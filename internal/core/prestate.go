@@ -34,19 +34,36 @@ func (opt SimOptions) prestateKey() PrestateKey {
 
 // SimPrestate is the immutable, shareable setup of one or more RunSim
 // points: the ablated (or pass-through) caches, the shuffled per-peer
-// request lists, the sharer pool, and the schedule generator's state
-// after all setup draws. Everything in it is read-only once built — any
-// number of simulation points (and their evaluation workers) may consume
-// one prestate concurrently. Build with NewSimPrestate, run points with
+// request lists, the sharer pool, the schedule generator's state after
+// all setup draws, and the offsets every point sizes its live state by.
+// Everything in it is read-only once built — any number of simulation
+// points (and their evaluation workers) may consume one prestate
+// concurrently. Build with NewSimPrestate, run points with
 // RunSimPrestate.
+//
+// A replica is one (peer, file) entry of the prepared caches, and each
+// is requested exactly once. Peer p's replicas are the range
+// [off[p], off[p+1]) of the request lists and of a point's share bits.
+// Each replica of file f adds one holder to f's list when it commits, so
+// the list fills exactly [holderOff[f], holderOff[f+1]) of a point's
+// holder buffer, in commit order.
+// Offsets are ints: replica totals at paper scale can pass 2^31.
 type SimPrestate struct {
-	key      PrestateKey
-	prepared [][]trace.FileID // post-ablation caches, sorted per peer
-	requests [][]trace.FileID // shuffled request lists; backing arrays shared
-	sharers  []trace.PeerID   // peers with a non-empty prepared cache
-	nFiles   int              // maxFileID+1 over prepared
-	rngState []byte           // schedule PCG state after the setup draws
+	key       PrestateKey
+	prepared  [][]trace.FileID // post-ablation caches, sorted per peer
+	off       []int            // per-peer replica offsets, len(prepared)+1
+	requests  []trace.FileID   // shuffled request lists, back to back in off order
+	holderOff []int            // per-file holder offsets (file popularity prefix sums), nFiles+1
+	sharers   []trace.PeerID   // peers with a non-empty prepared cache
+	rngState  []byte           // schedule PCG state after the setup draws
 }
+
+// replicas returns the number of (peer, file) entries in the prepared
+// caches, i.e. the number of events a point runs.
+func (p *SimPrestate) replicas() int { return p.off[len(p.prepared)] }
+
+// nFiles returns maxFileID+1 over the prepared caches.
+func (p *SimPrestate) nFiles() int { return len(p.holderOff) - 1 }
 
 // Key reports the options fields this prestate was built from.
 func (p *SimPrestate) Key() PrestateKey { return p.key }
@@ -61,21 +78,37 @@ func NewSimPrestate(caches [][]trace.FileID, opt SimOptions) *SimPrestate {
 	start := time.Now()
 	pcg := rand.NewPCG(opt.Seed, 0x73696d) // "sim"
 	rng := rand.New(pcg)
+	prepared := PrepareCaches(caches, opt, rng)
 	pre := &SimPrestate{
-		key:      opt.prestateKey(),
-		prepared: PrepareCaches(caches, opt, rng),
+		key:       opt.prestateKey(),
+		prepared:  prepared,
+		off:       make([]int, len(prepared)+1),
+		holderOff: make([]int, maxFileID(prepared)+2),
 	}
-	pre.requests = make([][]trace.FileID, len(pre.prepared))
-	for pid, c := range pre.prepared {
+	nSharers := 0
+	for pid, c := range prepared {
+		pre.off[pid+1] = pre.off[pid] + len(c)
+		if len(c) > 0 {
+			nSharers++
+		}
+		for _, f := range c {
+			pre.holderOff[f+1]++
+		}
+	}
+	for f := 1; f < len(pre.holderOff); f++ {
+		pre.holderOff[f] += pre.holderOff[f-1]
+	}
+	pre.requests = make([]trace.FileID, pre.replicas())
+	pre.sharers = make([]trace.PeerID, 0, nSharers)
+	for pid, c := range prepared {
 		if len(c) == 0 {
 			continue
 		}
 		pre.sharers = append(pre.sharers, trace.PeerID(pid))
-		list := append([]trace.FileID(nil), c...)
+		list := pre.requests[pre.off[pid]:pre.off[pid+1]]
+		copy(list, c)
 		rng.Shuffle(len(list), func(i, j int) { list[i], list[j] = list[j], list[i] })
-		pre.requests[pid] = list
 	}
-	pre.nFiles = maxFileID(pre.prepared) + 1
 	state, err := pcg.MarshalBinary()
 	if err != nil {
 		panic(fmt.Sprintf("core: snapshotting PCG state: %v", err)) // cannot fail
@@ -111,7 +144,7 @@ func RunSimPrestate(pre *SimPrestate, opt SimOptions) SimResult {
 		panic(fmt.Sprintf("core: SimOptions %+v incompatible with prestate key %+v",
 			opt.prestateKey(), pre.key))
 	}
-	s := newPointState(pre, opt, false)
+	s := newPointState(pre, opt)
 	if opt.Pool.Workers() > 1 {
 		s.runSharded(opt.Pool)
 	} else {

@@ -119,10 +119,19 @@ func PrepareCaches(caches [][]trace.FileID, opt SimOptions, rng *rand.Rand) [][]
 		return randomize.Shuffle(caches, swaps, rng)
 	}
 
+	// One flat copy; each row keeps its own capacity so filtering in
+	// place never spills into the next.
+	total := 0
+	for _, c := range caches {
+		total += len(c)
+	}
+	flat := make([]trace.FileID, 0, total)
 	out := make([][]trace.FileID, len(caches))
 	for i, c := range caches {
 		if len(c) > 0 {
-			out[i] = append([]trace.FileID(nil), c...)
+			lo := len(flat)
+			flat = append(flat, c...)
+			out[i] = flat[lo:len(flat):len(flat)]
 		}
 	}
 
@@ -217,16 +226,6 @@ func maxFileID(caches [][]trace.FileID) int {
 	return maxF
 }
 
-// sharedSet tracks which of a peer's own cache entries it currently
-// shares, as a bitset over positions in the peer's sorted cache. A peer
-// only ever shares files from its own request set, so membership reduces
-// to a binary search of the static cache plus one bit probe — no hash
-// set per peer, no allocation after the first share.
-type sharedSet []uint64
-
-func (s sharedSet) has(pos int) bool { return s[pos/64]&(1<<(pos%64)) != 0 }
-func (s sharedSet) set(pos int)      { s[pos/64] |= 1 << (pos % 64) }
-
 // RunSim executes the trace-driven search simulation of paper §5.1 on the
 // given static caches (index = PeerID; use trace.AggregateCaches on the
 // filtered trace). Each peer's cache is its potential request set;
@@ -248,33 +247,22 @@ func (s sharedSet) set(pos int)      { s[pos/64] |= 1 << (pos % 64) }
 // The setup phase (trace surgery, request shuffles) lives in
 // NewSimPrestate so sweeps can build it once per ablation key and share
 // it across points; RunSim is the single-point convenience that builds a
-// private prestate and consumes it in place.
+// private prestate.
 func RunSim(caches [][]trace.FileID, opt SimOptions) SimResult {
-	if opt.ListSize <= 0 {
-		opt.ListSize = 20
-	}
-	s := newPointState(NewSimPrestate(caches, opt), opt, true)
-	if opt.Pool.Workers() > 1 {
-		s.runSharded(opt.Pool)
-	} else {
-		s.runSerial()
-	}
-	return s.res
+	return RunSimPrestate(NewSimPrestate(caches, opt), opt)
 }
 
 // newPointState builds the live, point-private state of one simulation
 // run on top of a shared prestate: the restored schedule generator, the
 // strategies (Random draws its reservoir from the restored stream,
-// exactly where the setup left off), share bitsets, holder lists and the
-// active set. owned marks a prestate private to this point (RunSim), in
-// which case the request-list headers are consumed in place instead of
-// copied.
-func newPointState(pre *SimPrestate, opt SimOptions, owned bool) *simState {
-	rng := pre.scheduleRNG()
+// exactly where the setup left off), share bits, holder lists, request
+// counts and the active set. Every array is sized here, once, from the
+// prestate's offsets, so the event loop itself never allocates.
+func newPointState(pre *SimPrestate, opt SimOptions) *simState {
 	s := &simState{
-		opt:      opt,
-		rng:      rng,
-		prepared: pre.prepared,
+		opt: opt,
+		pre: pre,
+		rng: pre.scheduleRNG(),
 		// Decorrelate the per-event fallback stream from every other use
 		// of Seed (schedule stream, world sub-seeds).
 		fallback: runner.SubSeed(opt.Seed, 0x66616c6c), // "fall"
@@ -285,71 +273,109 @@ func newPointState(pre *SimPrestate, opt SimOptions, owned bool) *simState {
 			Peers:    len(pre.prepared),
 			Sharers:  len(pre.sharers),
 		},
+		left:    make([]int32, len(pre.prepared)),
+		shared:  make([]uint64, (pre.replicas()+63)/64),
+		holders: make([]trace.PeerID, pre.replicas()),
+		holderN: make([]int32, pre.nFiles()),
+		// Active peers with remaining requests, for uniform random choice.
+		active: slices.Clone(pre.sharers),
 	}
-
-	// Request lists pop from the back as events are drawn; only the
-	// slice headers mutate, so points sharing a prestate copy the
-	// headers and share the shuffled backing arrays read-only.
-	if owned {
-		s.requests = pre.requests
-	} else {
-		s.requests = slices.Clone(pre.requests)
-	}
-
-	s.strategies = make([]Strategy, len(pre.prepared))
 	for _, pid := range pre.sharers {
-		if opt.FixedLists != nil {
-			var list []trace.PeerID
-			if int(pid) < len(opt.FixedLists) {
-				list = opt.FixedLists[pid]
-				if len(list) > opt.ListSize {
-					list = list[:opt.ListSize]
-				}
-			}
-			s.strategies[pid] = NewFixed(list)
-			continue
-		}
-		switch opt.Kind {
-		case LRU:
-			s.strategies[pid] = NewLRU(opt.ListSize)
-		case History:
-			s.strategies[pid] = NewHistory(opt.ListSize)
-		case Random:
-			s.strategies[pid] = NewRandom(opt.ListSize, pid, pre.sharers, rng)
-		default:
-			panic(fmt.Sprintf("core: unknown strategy kind %d", opt.Kind))
-		}
+		s.left[pid] = int32(len(pre.prepared[pid]))
 	}
+	s.initStrategies()
 	if opt.FixedLists != nil {
 		s.res.Strategy = "Fixed"
 	}
-
-	// Per-peer shared bitsets over cache positions, and the holder lists
-	// indexed directly by FileID (dense array, no map).
-	s.shared = make([]sharedSet, len(pre.prepared))
-	s.holders = make([][]trace.PeerID, pre.nFiles)
 	if opt.TrackLoad {
 		s.res.LoadPerPeer = make([]int64, len(pre.prepared))
 	}
-
-	// Active peers with remaining requests, for uniform random choice.
-	s.active = append([]trace.PeerID(nil), pre.sharers...)
 	sweepPoints.Add(1)
 	return s
 }
 
+// initStrategies gives every sharer its neighbour list. The lists are
+// values in one per-point slice, and their storage is carved from one
+// buffer sized by an exact bound, so recording an upload never
+// allocates: a list gains at most one entry per request of its owner.
+func (s *simState) initStrategies() {
+	pre, opt := s.pre, s.opt
+	s.strategies = make([]Strategy, len(pre.prepared))
+	switch {
+	case opt.FixedLists != nil:
+		lists := make([]fixedList, len(pre.sharers))
+		for k, pid := range pre.sharers {
+			if int(pid) < len(opt.FixedLists) {
+				list := opt.FixedLists[pid]
+				lists[k].list = list[:min(len(list), opt.ListSize)]
+			}
+			s.strategies[pid] = &lists[k]
+		}
+	case opt.Kind == LRU:
+		// min(ListSize, cache size) per peer, so the buffer is never
+		// larger than the holder buffer.
+		n := 0
+		for _, pid := range pre.sharers {
+			n += min(opt.ListSize, len(pre.prepared[pid]))
+		}
+		lists, buf := make([]lruList, len(pre.sharers)), make([]trace.PeerID, n)
+		for k, pid := range pre.sharers {
+			c := min(opt.ListSize, len(pre.prepared[pid]))
+			lists[k] = lruList{list: buf[:0:c], cap: opt.ListSize}
+			buf = buf[c:]
+			s.strategies[pid] = &lists[k]
+		}
+	case opt.Kind == History:
+		// A board holds at most one entry per request of its owner, so
+		// the boards share the replica offsets.
+		n := 0
+		for _, pid := range pre.sharers {
+			n += historyIndexSize(len(pre.prepared[pid]))
+		}
+		lists := make([]historyList, len(pre.sharers))
+		ids := make([]trace.PeerID, pre.replicas())
+		counts := make([]int32, pre.replicas())
+		index := make([]int32, n)
+		for k, pid := range pre.sharers {
+			lo, hi := pre.off[pid], pre.off[pid+1]
+			c := historyIndexSize(hi - lo)
+			lists[k] = historyList{
+				ids:    ids[lo:lo:hi],
+				counts: counts[lo:lo:hi],
+				index:  index[:c:c],
+				cap:    opt.ListSize,
+			}
+			index = index[c:]
+			s.strategies[pid] = &lists[k]
+		}
+	case opt.Kind == Random:
+		// Every sharer draws from the sharer pool, itself excluded, so
+		// min(ListSize, sharers-1) is its list's length.
+		c := max(0, min(opt.ListSize, len(pre.sharers)-1))
+		lists, buf := make([]fixedList, len(pre.sharers)), make([]trace.PeerID, c*len(pre.sharers))
+		for k, pid := range pre.sharers {
+			lists[k].list = drawRandom(buf[k*c:k*c:(k+1)*c], pid, pre.sharers, s.rng)
+			s.strategies[pid] = &lists[k]
+		}
+	default:
+		panic(fmt.Sprintf("core: unknown strategy kind %d", opt.Kind))
+	}
+}
+
 // simState is the live state of one RunSim event loop, shared by the
 // serial path and the sharded path (which interleaves parallel read-only
-// speculation with the same serial commits).
+// speculation with the same serial commits). Counts are int32: none can
+// exceed the number of peers or one peer's cache size.
 type simState struct {
 	opt        SimOptions
+	pre        *SimPrestate
 	rng        *rand.Rand // schedule stream: setup shuffles + active-peer picks
 	fallback   uint64     // base seed of the per-event fallback-uploader stream
-	prepared   [][]trace.FileID
-	requests   [][]trace.FileID
+	left       []int32    // requests peer p has still to draw: pre.requests[off[p]:off[p]+left[p]]
 	strategies []Strategy
-	shared     []sharedSet
-	holders    [][]trace.PeerID
+	shared     []uint64       // share bits, one per replica (bit off[p]+i: p shares prepared[p][i])
+	holders    []trace.PeerID // holder lists in the prestate's file ranges, in append order
+	holderN    []int32        // holder list lengths per file
 	active     []trace.PeerID
 	res        SimResult
 	chunk      *chunkState // sharded-path speculation machinery (initChunks)
@@ -381,20 +407,35 @@ type twoHopScratch struct {
 	epoch   uint32
 }
 
+// sharesFile reports whether p currently shares f. A peer only ever
+// shares files from its own request set, so membership reduces to a
+// binary search of the static cache plus one bit probe.
 func (s *simState) sharesFile(p trace.PeerID, f trace.FileID) bool {
-	if s.shared[p] == nil {
+	pos, ok := slices.BinarySearch(s.pre.prepared[p], f)
+	if !ok {
 		return false
 	}
-	pos, ok := slices.BinarySearch(s.prepared[p], f)
-	return ok && s.shared[p].has(pos)
+	bit := s.pre.off[p] + pos
+	return s.shared[bit/64]&(1<<(bit%64)) != 0
 }
 
 func (s *simState) startSharing(p trace.PeerID, f trace.FileID) {
-	if s.shared[p] == nil {
-		s.shared[p] = make(sharedSet, (len(s.prepared[p])+63)/64)
-	}
-	pos, _ := slices.BinarySearch(s.prepared[p], f)
-	s.shared[p].set(pos)
+	pos, _ := slices.BinarySearch(s.pre.prepared[p], f)
+	bit := s.pre.off[p] + pos
+	s.shared[bit/64] |= 1 << (bit % 64)
+}
+
+// holdersOf returns f's holders in the order they started sharing it.
+func (s *simState) holdersOf(f trace.FileID) []trace.PeerID {
+	lo := s.pre.holderOff[f]
+	return s.holders[lo : lo+int(s.holderN[f])]
+}
+
+// addHolder appends p to f's holder list. Each replica is committed
+// once, so the list never outgrows its prestate range.
+func (s *simState) addHolder(f trace.FileID, p trace.PeerID) {
+	s.holders[s.pre.holderOff[f]+int(s.holderN[f])] = p
+	s.holderN[f]++
 }
 
 // nextEvent draws the next scheduled request from the schedule stream:
@@ -408,10 +449,9 @@ func (s *simState) nextEvent() (simEvent, bool) {
 	}
 	ai := s.rng.IntN(len(s.active))
 	p := s.active[ai]
-	reqs := s.requests[p]
-	f := reqs[len(reqs)-1]
-	s.requests[p] = reqs[:len(reqs)-1]
-	if len(s.requests[p]) == 0 {
+	s.left[p]--
+	f := s.pre.requests[s.pre.off[p]+int(s.left[p])]
+	if s.left[p] == 0 {
 		s.active[ai] = s.active[len(s.active)-1]
 		s.active = s.active[:len(s.active)-1]
 	}
@@ -434,10 +474,14 @@ func (s *simState) fallbackIdx(g uint64, n int) int {
 // sharded path — the commit-time validation, which must know exactly
 // which share bits the speculation read. Target slices are views into
 // the arena's backing at append time; growing the arena later relocates
-// future appends without disturbing earlier views, so one arena can
-// serve many specs as long as it is not truncated while they are live.
+// future appends without disturbing earlier views, so one arena serves
+// every spec of an evaluation job. The arena's owner truncates it only
+// once no spec views it: the serial loop after each apply, the commit's
+// arena after each re-evaluated event, and an evaluation job's arena
+// when the same job index starts the next chunk, by which time
+// commitChunk has dropped every view into it.
 func (s *simState) evaluate(ev simEvent, sc *twoHopScratch, arena *[]trace.PeerID) eventSpec {
-	if len(s.holders[ev.f]) == 0 {
+	if s.holderN[ev.f] == 0 {
 		return eventSpec{contribution: true}
 	}
 	var spec eventSpec
@@ -492,7 +536,7 @@ func (s *simState) apply(ev simEvent, spec *eventSpec, g uint64) {
 		// ev.p is the original contributor of ev.f.
 		s.res.Contributions++
 		s.startSharing(ev.p, ev.f)
-		s.holders[ev.f] = append(s.holders[ev.f], ev.p)
+		s.addHolder(ev.f, ev.p)
 		return
 	}
 	s.res.Requests++
@@ -512,19 +556,19 @@ func (s *simState) apply(ev simEvent, spec *eventSpec, g uint64) {
 		}
 	} else {
 		// Fallback search (server or flooding) finds some source.
-		srcs := s.holders[ev.f]
+		srcs := s.holdersOf(ev.f)
 		uploader = srcs[s.fallbackIdx(g, len(srcs))]
 	}
 	s.strategies[ev.p].RecordUpload(uploader)
 	s.startSharing(ev.p, ev.f)
-	s.holders[ev.f] = append(s.holders[ev.f], ev.p)
+	s.addHolder(ev.f, ev.p)
 }
 
 // newScratch allocates two-hop dedup state (a no-op shell otherwise).
 func (s *simState) newScratch() *twoHopScratch {
 	sc := &twoHopScratch{}
 	if s.opt.TwoHop {
-		sc.queried = make([]uint32, len(s.prepared))
+		sc.queried = make([]uint32, len(s.pre.prepared))
 	}
 	return sc
 }
@@ -534,7 +578,7 @@ func (s *simState) newScratch() *twoHopScratch {
 func (s *simState) runSerial() {
 	start := time.Now()
 	sc := s.newScratch()
-	var arena []trace.PeerID
+	arena := make([]trace.PeerID, 0, s.opt.ListSize) // one-hop bound; two-hop grows it
 	events := int64(0)
 	for g := uint64(0); ; g++ {
 		ev, ok := s.nextEvent()
@@ -608,22 +652,45 @@ type chunkState struct {
 
 	commitSc    *twoHopScratch
 	commitArena []trace.PeerID
+	// arenas[j] holds the probe targets of evaluation job j (see
+	// evalJobs) and lives as long as the point. It starts at arenaCap,
+	// the one-hop bound on a job's targets: the widest range this point's
+	// chunks can split into times ListSize, as a one-hop event probes at
+	// most ListSize peers. Only two-hop scans grow it further.
+	arenas   [][]trace.PeerID
+	arenaCap int
 
 	start uint64 // global schedule index of events[0]
 	scale int    // adaptive chunk-size multiplier, 1..chunkMaxScale
 }
 
-// initChunks allocates the chunk machinery; call once before the first
-// drawChunk.
-func (s *simState) initChunks() {
+// evalJobs splits a chunk of n events into evaluation ranges of sub
+// events (the last may be shorter): about four per worker, so
+// work-stealing evens out uneven scan costs, but never under eight
+// events. jobs never exceeds 4·workers.
+func evalJobs(n, workers int) (sub, jobs int) {
+	sub = max((n+4*workers-1)/(4*workers), 8)
+	return sub, (n + sub - 1) / sub
+}
+
+// initChunks allocates the chunk machinery for evaluation on the given
+// number of workers; call once before the first drawChunk.
+func (s *simState) initChunks(workers int) {
+	// The active set never outgrows the sharers, so no chunk outgrows
+	// maxChunk.
+	maxChunk := chunkTarget(len(s.pre.sharers), chunkMaxScale)
+	maxSub, _ := evalJobs(maxChunk, workers)
 	s.chunk = &chunkState{
-		events:          make([]simEvent, 0, simMaxChunkEvents),
-		specs:           make([]eventSpec, simMaxChunkEvents),
-		peerTouched:     make([]uint64, len(s.prepared)),
-		peerListTouched: make([]uint64, len(s.prepared)),
-		peerLastFile:    make([]trace.FileID, len(s.prepared)),
-		fileTouched:     make([]uint64, len(s.holders)),
+		events:          make([]simEvent, 0, maxChunk),
+		specs:           make([]eventSpec, maxChunk),
+		peerTouched:     make([]uint64, len(s.pre.prepared)),
+		peerListTouched: make([]uint64, len(s.pre.prepared)),
+		peerLastFile:    make([]trace.FileID, len(s.pre.prepared)),
+		fileTouched:     make([]uint64, s.pre.nFiles()),
 		commitSc:        s.newScratch(),
+		commitArena:     make([]trace.PeerID, 0, s.opt.ListSize),
+		arenas:          make([][]trace.PeerID, 4*workers),
+		arenaCap:        maxSub * s.opt.ListSize,
 		scale:           1,
 	}
 }
@@ -645,18 +712,23 @@ func (s *simState) drawChunk() int {
 	return len(c.events)
 }
 
-// evalRange speculatively evaluates events [lo,hi) of the current chunk
-// against chunk-start state. Read-only on shared state and on every
-// other index of the spec buffer, so disjoint ranges run concurrently.
-// The targets arena is local to the call: spec target views keep their
-// backing alive until commitChunk drops the specs.
-func (s *simState) evalRange(lo, hi int, sc *twoHopScratch) {
+// evalRange speculatively evaluates range j of the current chunk,
+// events [lo,hi), against chunk-start state. Read-only on shared state
+// and on every other index of the spec buffer, so disjoint ranges run
+// concurrently. The targets go to job j's own arena, which the call
+// truncates first: the previous chunk's specs that viewed it were
+// committed and dropped before this chunk was drawn.
+func (s *simState) evalRange(j, lo, hi int, sc *twoHopScratch) {
 	start := time.Now()
 	c := s.chunk
-	var arena []trace.PeerID
+	arena := c.arenas[j][:0]
+	if cap(arena) == 0 {
+		arena = make([]trace.PeerID, 0, c.arenaCap)
+	}
 	for i := lo; i < hi; i++ {
 		c.specs[i] = s.evaluate(c.events[i], sc, &arena)
 	}
+	c.arenas[j] = arena
 	sweepEvalNS.Add(time.Since(start).Nanoseconds())
 }
 
@@ -725,7 +797,7 @@ func (s *simState) commitChunk() {
 		}
 		contribution := spec.contribution
 		s.apply(ev, spec, g)
-		*spec = eventSpec{} // drop the target view, freeing eval arenas
+		*spec = eventSpec{} // drop the target view before its arena is reused
 		if !contribution {
 			c.peerListTouched[ev.p] = g + 1
 		}
@@ -754,33 +826,26 @@ func (s *simState) commitChunk() {
 // runSharded executes the event loop in chunks: draw a chunk of
 // schedule, evaluate it in parallel against the chunk-start state, then
 // commit serially in schedule order (commitChunk re-evaluates anything
-// an earlier commit invalidated). Sub-chunk the evaluation so each
-// worker gets a few dispatches per round — work-stealing evens out
-// uneven scan costs.
+// an earlier commit invalidated). The evaluation is split by evalJobs.
 func (s *simState) runSharded(pool *runner.Pool) {
-	s.initChunks()
+	s.initChunks(pool.Workers())
 	// Evaluator scratch checkout: at most Workers() jobs run at once.
 	scratches := make(chan *twoHopScratch, pool.Workers())
 	for i := 0; i < pool.Workers(); i++ {
 		scratches <- s.newScratch()
 	}
+	var n, sub, jobs int
+	eval := func(j int) {
+		sc := <-scratches
+		s.evalRange(j, j*sub, min((j+1)*sub, n), sc)
+		scratches <- sc
+	}
 	for {
-		n := s.drawChunk()
-		if n == 0 {
+		if n = s.drawChunk(); n == 0 {
 			return
 		}
-		sub := (n + 4*pool.Workers() - 1) / (4 * pool.Workers())
-		if sub < 8 {
-			sub = 8
-		}
-		jobs := (n + sub - 1) / sub
-		pool.Map(jobs, func(j int) {
-			lo := j * sub
-			hi := min(lo+sub, n)
-			sc := <-scratches
-			s.evalRange(lo, hi, sc)
-			scratches <- sc
-		})
+		sub, jobs = evalJobs(n, pool.Workers())
+		pool.Map(jobs, eval)
 		s.commitChunk()
 	}
 }

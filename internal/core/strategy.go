@@ -16,6 +16,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 
 	"edonkey/internal/trace"
@@ -93,41 +94,65 @@ func (l *lruList) Neighbours() []trace.PeerID { return l.list }
 
 // historyList is the frequency-based strategy: it counts successful
 // uploads per uploader and exposes the top-capacity uploaders by count.
-// The board is kept sorted by count with O(1) amortized bumps.
+// The board is kept sorted by count with O(1) amortized bumps; index, an
+// open-addressed table of board positions (linear probing, at most half
+// full), finds an uploader's entry in O(1).
 type historyList struct {
 	ids    []trace.PeerID // sorted by count desc, then recency
-	counts []int
-	pos    map[trace.PeerID]int
+	counts []int32
+	index  []int32 // 0 = empty slot, else board position + 1
 	cap    int
 }
 
 // NewHistory returns a History semantic list with the given capacity.
 func NewHistory(capacity int) Strategy {
-	return &historyList{pos: make(map[trace.PeerID]int), cap: capacity}
+	return &historyList{cap: capacity}
+}
+
+// historyIndexSize is the smallest power of two that keeps the index of
+// a board of n entries at most half full.
+func historyIndexSize(n int) int {
+	return 1 << bits.Len(uint(2*n-1))
+}
+
+// slot returns the index slot holding u, or the empty slot where u
+// belongs.
+func (h *historyList) slot(u trace.PeerID) int {
+	mask := len(h.index) - 1
+	for i := int(uint64(u)*0x9E3779B97F4A7C15>>32) & mask; ; i = (i + 1) & mask {
+		if e := h.index[i]; e == 0 || h.ids[e-1] == u {
+			return i
+		}
+	}
 }
 
 func (h *historyList) RecordUpload(u trace.PeerID) {
-	i, ok := h.pos[u]
-	if !ok {
+	if 2*(len(h.ids)+1) > len(h.index) {
+		// Only a standalone list grows: a board the simulator carves is
+		// sized for its owner's request count, the most entries it can
+		// ever hold.
+		h.index = make([]int32, max(4, 2*len(h.index)))
+		for i, id := range h.ids {
+			h.index[h.slot(id)] = int32(i + 1)
+		}
+	}
+	s := h.slot(u)
+	i := int(h.index[s]) - 1
+	if i < 0 {
 		h.ids = append(h.ids, u)
 		h.counts = append(h.counts, 0)
 		i = len(h.ids) - 1
-		h.pos[u] = i
 	}
 	h.counts[i]++
 	// Bubble the entry ahead of any entry with a strictly smaller
 	// count; equal counts keep their order (older entries stay first).
 	for i > 0 && h.counts[i-1] < h.counts[i] {
-		h.swap(i-1, i)
+		h.index[h.slot(h.ids[i-1])] = int32(i + 1)
+		h.ids[i-1], h.ids[i] = h.ids[i], h.ids[i-1]
+		h.counts[i-1], h.counts[i] = h.counts[i], h.counts[i-1]
 		i--
 	}
-}
-
-func (h *historyList) swap(i, j int) {
-	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
-	h.counts[i], h.counts[j] = h.counts[j], h.counts[i]
-	h.pos[h.ids[i]] = i
-	h.pos[h.ids[j]] = j
+	h.index[s] = int32(i + 1)
 }
 
 func (h *historyList) Neighbours() []trace.PeerID {
@@ -141,22 +166,22 @@ func (h *historyList) Neighbours() []trace.PeerID {
 func (h *historyList) Counts() map[trace.PeerID]int {
 	out := make(map[trace.PeerID]int, len(h.ids))
 	for i, id := range h.ids {
-		out[id] = h.counts[i]
+		out[id] = int(h.counts[i])
 	}
 	return out
-}
-
-// randomList is a fixed random selection of sharing peers.
-type randomList struct {
-	list []trace.PeerID
 }
 
 // NewRandom returns a fixed random list of `capacity` distinct peers
 // drawn from the candidate pool (excluding self). If the pool is smaller
 // than the capacity the whole pool is used.
 func NewRandom(capacity int, self trace.PeerID, pool []trace.PeerID, rng *rand.Rand) Strategy {
-	// Reservoir-sample without replacement, skipping self.
-	list := make([]trace.PeerID, 0, capacity)
+	return &fixedList{list: drawRandom(make([]trace.PeerID, 0, capacity), self, pool, rng)}
+}
+
+// drawRandom reservoir-samples up to cap(dst) distinct peers of the
+// pool, skipping self, into dst.
+func drawRandom(dst []trace.PeerID, self trace.PeerID, pool []trace.PeerID, rng *rand.Rand) []trace.PeerID {
+	list, capacity := dst[:0], cap(dst)
 	seen := 0
 	for _, p := range pool {
 		if p == self {
@@ -169,15 +194,12 @@ func NewRandom(capacity int, self trace.PeerID, pool []trace.PeerID, rng *rand.R
 			list[j] = p
 		}
 	}
-	return &randomList{list: list}
+	return list
 }
 
-func (r *randomList) RecordUpload(trace.PeerID) {}
-
-func (r *randomList) Neighbours() []trace.PeerID { return r.list }
-
-// fixedList is an immutable neighbour list supplied by an external
-// mechanism (e.g. the gossip overlay in internal/overlay).
+// fixedList is an immutable neighbour list: a Random draw, or one
+// supplied by an external mechanism (e.g. the gossip overlay in
+// internal/overlay).
 type fixedList struct {
 	list []trace.PeerID
 }

@@ -87,13 +87,18 @@ func sweepGroups(opts []SimOptions) map[PrestateKey]*sweepGroup {
 }
 
 // sweepPoint is one in-flight simulation point: its private state plus
-// the countdown that serializes its chunk pipeline on the stream.
+// the countdown that serializes its chunk pipeline on the stream. Its
+// evaluation jobs and its commit are built once, when the point starts;
+// the jobs read the current chunk's shape from n and sub.
 type sweepPoint struct {
 	sd       *sweepSched
 	idx      int
 	group    *sweepGroup
 	s        *simState
+	n, sub   int // current chunk length and evaluation range width (evalJobs)
 	evalLeft atomic.Int32
+	evals    []func() // evals[j] evaluates range j of the current chunk
+	commit   func()
 }
 
 // runSweepInterleaved executes the sweep on the scheduler. Requires
@@ -143,9 +148,17 @@ func (sd *sweepSched) startPoint(i int) {
 		sd:    sd,
 		idx:   i,
 		group: g,
-		s:     newPointState(g.prestate(sd.caches), opt, false),
+		s:     newPointState(g.prestate(sd.caches), opt),
+		evals: make([]func(), 4*sd.pool.Workers()),
 	}
-	pt.s.initChunks()
+	pt.s.initChunks(sd.pool.Workers())
+	for j := range pt.evals {
+		pt.evals[j] = func() { pt.eval(j) }
+	}
+	pt.commit = func() {
+		pt.s.commitChunk()
+		pt.advance()
+	}
 	pt.advance()
 }
 
@@ -163,28 +176,23 @@ func (pt *sweepPoint) advance() {
 		}
 		return
 	}
-	sub := (n + 4*pt.sd.pool.Workers() - 1) / (4 * pt.sd.pool.Workers())
-	if sub < 8 {
-		sub = 8
-	}
-	jobs := (n + sub - 1) / sub
+	var jobs int
+	pt.n = n
+	pt.sub, jobs = evalJobs(n, pt.sd.pool.Workers())
 	pt.evalLeft.Store(int32(jobs))
-	for j := 0; j < jobs; j++ {
-		lo, hi := j*sub, min((j+1)*sub, n)
-		pt.sd.stream.Submit(func() {
-			sc := pt.sd.getScratch(pt.s.opt.TwoHop)
-			pt.s.evalRange(lo, hi, sc)
-			pt.sd.scratches <- sc
-			// The last range submits the commit; the atomic countdown
-			// orders every spec write before the commit's reads.
-			if pt.evalLeft.Add(-1) == 0 {
-				pt.sd.stream.Submit(pt.commit)
-			}
-		})
+	for _, eval := range pt.evals[:jobs] {
+		pt.sd.stream.Submit(eval)
 	}
 }
 
-func (pt *sweepPoint) commit() {
-	pt.s.commitChunk()
-	pt.advance()
+// eval runs evaluation job j of the current chunk.
+func (pt *sweepPoint) eval(j int) {
+	sc := pt.sd.getScratch(pt.s.opt.TwoHop)
+	pt.s.evalRange(j, j*pt.sub, min((j+1)*pt.sub, pt.n), sc)
+	pt.sd.scratches <- sc
+	// The last range submits the commit; the atomic countdown orders
+	// every spec write before the commit's reads.
+	if pt.evalLeft.Add(-1) == 0 {
+		pt.sd.stream.Submit(pt.commit)
+	}
 }
