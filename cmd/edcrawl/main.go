@@ -21,6 +21,11 @@
 // Analyse long captures with `edrepro -trace ... -stream` to keep the
 // analysis side's memory bounded too.
 //
+// The report counts every browse: rejected (the peer disallows browsing),
+// failed (a browsable peer did not answer) and snapshots taken. A failed
+// browse means the trace misses a cache the world held, so edcrawl exits
+// non-zero after writing the trace when there is one.
+//
 // Usage:
 //
 //	edcrawl -o trace.edt [-peers 1000000] [-days 14] [-prefix 2] [-budget 500] [-progress]
@@ -195,7 +200,7 @@ func run(wcfg workload.Config, ccfg crawler.Config, out, jsonOut string, progres
 	}
 	// Summarize last so the peak covers serialization too.
 	hb.summary()
-	return nil
+	return lostBrowses(c.Stats)
 }
 
 func runStreaming(w *workload.World, c *crawler.Crawler, hb *heartbeat, out string) error {
@@ -230,14 +235,25 @@ func runStreaming(w *workload.World, c *crawler.Crawler, hb *heartbeat, out stri
 	report(c.Stats, len(peers), len(files), c.Stats.Snapshots)
 	hb.summary()
 	fmt.Printf("wrote %s (streamed day by day)\n", out)
-	return nil
+	return lostBrowses(c.Stats)
 }
 
 func report(stats crawler.Stats, peers, files, observations int) {
 	fmt.Printf("crawl finished: %d days, %d queries, %d identities discovered\n",
 		stats.Days, stats.Queries, stats.UniqueUsers)
-	fmt.Printf("  low-ID skipped: %d, browse rejected: %d, snapshots: %d\n",
-		stats.LowIDSkipped, stats.BrowseRejected, stats.Snapshots)
+	fmt.Printf("  low-ID skipped: %d, browse rejected: %d, browse failed: %d, snapshots: %d\n",
+		stats.LowIDSkipped, stats.BrowseRejected, stats.BrowseFailed, stats.Snapshots)
+	fmt.Printf("  days the browse budget cut short: %d\n", stats.BudgetExhausted)
 	fmt.Printf("trace: %d peers, %d distinct files, %d observations\n",
 		peers, files, observations)
+}
+
+// lostBrowses fails a crawl that lost a browse: a peer that allowed
+// browsing and was online did not answer, so the trace misses a cache
+// the world held. The trace is written all the same.
+func lostBrowses(stats crawler.Stats) error {
+	if stats.BrowseFailed > 0 {
+		return fmt.Errorf("%d browses of browsable peers failed", stats.BrowseFailed)
+	}
+	return nil
 }

@@ -115,8 +115,9 @@ func OverlapHistogramSharded(sn *trace.StoreSnapshot, filter FileFilter, pool *r
 	return out
 }
 
-// ClusteringCorrelationSharded is ClusteringCorrelationSnapshot on the
-// pool — the form the clustering figures (13, 14) use.
+// ClusteringCorrelationSharded is ClusteringCorrelation on an existing
+// columnar snapshot, on the pool — the form the clustering figures (13,
+// 14) use.
 func ClusteringCorrelationSharded(sn *trace.StoreSnapshot, filter FileFilter, pool *runner.Pool) []CorrelationPoint {
 	return CorrelationCurve(OverlapHistogramSharded(sn, filter, pool))
 }
@@ -196,12 +197,4 @@ func CorrelationCurve(h *stats.Histogram) []CorrelationPoint {
 // correlation curve for the given caches and filter.
 func ClusteringCorrelation(caches [][]trace.FileID, filter FileFilter) []CorrelationPoint {
 	return CorrelationCurve(OverlapHistogram(caches, filter))
-}
-
-// ClusteringCorrelationSnapshot is ClusteringCorrelation on an existing
-// columnar snapshot — the form the figure drivers use, since a trace's
-// store already holds the day and aggregate snapshots with their
-// inverted indexes cached.
-func ClusteringCorrelationSnapshot(sn *trace.StoreSnapshot, filter FileFilter) []CorrelationPoint {
-	return CorrelationCurve(OverlapHistogramSnapshot(sn, filter))
 }

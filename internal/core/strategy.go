@@ -204,10 +204,6 @@ type fixedList struct {
 	list []trace.PeerID
 }
 
-// NewFixed wraps an externally built neighbour list as a Strategy.
-// RecordUpload is a no-op: the list is managed elsewhere.
-func NewFixed(list []trace.PeerID) Strategy { return &fixedList{list: list} }
-
 func (f *fixedList) RecordUpload(trace.PeerID) {}
 
 func (f *fixedList) Neighbours() []trace.PeerID { return f.list }

@@ -25,6 +25,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"edonkey/internal/edonkey"
 	"edonkey/internal/protocol"
@@ -70,6 +71,9 @@ type Crawler struct {
 	// identity bookkeeping: (user hash, IP) pairs become trace peers.
 	peerIDs map[identityKey]trace.PeerID
 	fileIDs map[[16]byte]trace.FileID
+
+	// arenas holds one browse buffer per pool worker; see crawlDay.
+	arenas [][]byte
 
 	// Stats accumulates observable crawl counters.
 	Stats Stats
@@ -256,12 +260,14 @@ func (c *Crawler) crawlDay(day, totalDays int) error {
 	// Browse pass, within the day's budget. The browse set and its order
 	// are fixed before the first dial (sorted identities, budget prefix),
 	// so the round-trips — the dominant cost of a crawl day at scale —
-	// can run as independent pool jobs while the trace-side commit
-	// (identity registration, first-sight file numbering, stats) stays a
-	// single serial pass in key order. Any worker count produces the same
-	// trace bit-for-bit. A job brings back the answer's entry list as it
-	// came off the wire and the commit walks it in place; jobs run in
-	// bounded chunks so at most one chunk's lists is ever resident.
+	// can run on the pool while the trace-side commit (identity
+	// registration, first-sight file numbering, stats) stays a single
+	// serial pass in key order. Any worker count produces the same trace
+	// bit-for-bit. Each worker takes the next dial from a shared counter
+	// and reads the answer's entry list into its own arena, and the
+	// commit walks each list in place there; the dials run in bounded
+	// chunks, and an arena is reset at the start of each, so it holds at
+	// most one chunk's lists and is reused across chunks and days.
 	keys := make([]identityKey, 0, len(reachable))
 	for k := range reachable {
 		keys = append(keys, k)
@@ -278,17 +284,25 @@ func (c *Crawler) crawlDay(day, totalDays int) error {
 		err  error
 	}
 	pool := c.world.Pool()
+	if len(c.arenas) < pool.Workers() {
+		c.arenas = make([][]byte, pool.Workers())
+	}
 	results := make([]browseResult, min(n, browseChunkSize))
 	for start := 0; start < n; start += browseChunkSize {
 		chunk := keys[start:min(start+browseChunkSize, n)]
-		pool.Map(len(chunk), func(j int) {
-			list, err := me.BrowseList(reachable[chunk[j]].Endpoint)
-			results[j] = browseResult{list, err}
+		var next atomic.Int64
+		pool.Map(len(c.arenas), func(wk int) {
+			arena := c.arenas[wk][:0]
+			for j := int(next.Add(1)) - 1; j < len(chunk); j = int(next.Add(1)) - 1 {
+				out, err := me.BrowseList(reachable[chunk[j]].Endpoint, arena)
+				results[j] = browseResult{out[len(arena):], err}
+				arena = out
+			}
+			c.arenas[wk] = arena
 		})
 		for j, key := range chunk {
 			c.Stats.BrowseAttempts++
 			r := results[j]
-			results[j] = browseResult{} // release the list
 			if r.err != nil {
 				if c.gateway.wasBrowsable(key) {
 					c.Stats.BrowseFailed++ // unexpected: peer vanished mid-day

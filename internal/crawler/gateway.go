@@ -2,6 +2,7 @@ package crawler
 
 import (
 	"bufio"
+	"io"
 	"net"
 	"slices"
 	"sort"
@@ -60,33 +61,37 @@ type worldGateway struct {
 	mu       sync.Mutex
 	sessions []protocol.UserEntry // wire logins (the crawler itself)
 
-	// frames recycles the browse handlers' reply buffers. A handler
-	// holds one only while it renders and writes a reply — a memconn
-	// Write returns once the peer has read it all and keeps nothing of
-	// the slice — not for as long as it lives, so that a handler parked
-	// in its next read keeps no reply-sized buffer from the next dial.
-	frames sync.Pool // of *[]byte
-
-	// readers recycles what a handler reads its connection through.
-	readers sync.Pool // of *requestReader
+	// handlers recycles what a connection is served with.
+	handlers sync.Pool // of *handler
 }
 
-// requestReader is the read side of one served connection: the
-// server-role decoder with its per-opcode payload caps, and the buffered
-// reader it reads from. A handler borrows the pair for its lifetime.
-type requestReader struct {
-	dec protocol.RequestDecoder
-	br  *bufio.Reader
+// handler is what one served connection is read and answered through:
+// the server-role decoder with its per-opcode payload caps, the buffered
+// reader it reads from, and the fixed chunk every reply is rendered
+// into — a browse answer of any length passes through it a chunk at a
+// time. A handler goroutine borrows one for its lifetime. A memconn
+// Write returns once the dialler has read it all, but the goroutine may
+// then wait behind the next dials before it runs again and sees the
+// hang-up, so a crawl holds many handlers at once: none may grow with
+// the answers it has sent.
+type handler struct {
+	dec   protocol.RequestDecoder
+	br    *bufio.Reader
+	chunk [writeChunk]byte
 }
 
 // requestBuffer holds any request but a publication whole, and those are
 // skipped through it.
 const requestBuffer = 1 << 10
 
+// writeChunk is the capacity replies are rendered into. A browse entry
+// is at most FileEntrySize(64, "document") = 114 bytes (the longest
+// synthesized name and kind), so a chunk holds seventy of the largest.
+const writeChunk = 8 << 10
+
 func newWorldGateway(w *workload.World, n *edonkey.Network) (*worldGateway, error) {
 	g := &worldGateway{w: w, net: n, maxUserReplies: edonkey.DefaultMaxUserReplies}
-	g.frames.New = func() any { return new([]byte) }
-	g.readers.New = func() any { return &requestReader{br: bufio.NewReaderSize(nil, requestBuffer)} }
+	g.handlers.New = func() any { return &handler{br: bufio.NewReaderSize(nil, requestBuffer)} }
 	g.buildNickOrder()
 	if err := n.Listen(serverEndpoint, g.serveServer); err != nil {
 		return nil, err
@@ -95,15 +100,15 @@ func newWorldGateway(w *workload.World, n *edonkey.Network) (*worldGateway, erro
 	return g, nil
 }
 
-func (g *worldGateway) borrowReader(conn net.Conn) *requestReader {
-	rd := g.readers.Get().(*requestReader)
-	rd.br.Reset(conn)
-	return rd
+func (g *worldGateway) borrowHandler(conn net.Conn) *handler {
+	h := g.handlers.Get().(*handler)
+	h.br.Reset(conn)
+	return h
 }
 
-func (g *worldGateway) returnReader(rd *requestReader) {
-	rd.br.Reset(nil)
-	g.readers.Put(rd)
+func (g *worldGateway) returnHandler(h *handler) {
+	h.br.Reset(nil)
+	g.handlers.Put(h)
 }
 
 func (g *worldGateway) core() *protocol.ServerCore {
@@ -253,12 +258,12 @@ var rejectUnsupported = &protocol.Reject{Reason: "unsupported request"}
 // request, or is larger than its kind can be, ends the session.
 func (g *worldGateway) serveServer(conn net.Conn) {
 	defer conn.Close()
-	rd := g.borrowReader(conn)
-	defer g.returnReader(rd)
+	h := g.borrowHandler(conn)
+	defer g.returnHandler(h)
 	core := g.core()
 	var reply []byte
 	for {
-		m, err := rd.dec.Read(rd.br)
+		m, err := h.dec.Read(h.br)
 		if err != nil {
 			return
 		}
@@ -308,67 +313,73 @@ func (g *worldGateway) Resolve(ep protocol.Endpoint) (int, bool) {
 }
 
 var (
-	rejectBrowse  = &protocol.Reject{Reason: "browsing disabled"}
-	rejectRequest = &protocol.Reject{Reason: "unsupported"}
+	rejectBrowse   = &protocol.Reject{Reason: "browsing disabled"}
+	rejectRequest  = &protocol.Reject{Reason: "unsupported"}
+	rejectTooLarge = &protocol.Reject{Reason: "answer too large"}
 )
 
 // ServeConn answers one client-client session (handshake, browse) for
 // world client i, straight from its columns.
 func (g *worldGateway) ServeConn(i int, conn net.Conn) {
 	defer conn.Close()
-	rd := g.borrowReader(conn)
-	defer g.returnReader(rd)
+	h := g.borrowHandler(conn)
+	defer g.returnHandler(h)
 	for {
-		m, err := rd.dec.Read(rd.br)
+		m, err := h.dec.Read(h.br)
 		if err != nil {
 			return
 		}
-		buf := g.frames.Get().(*[]byte)
-		reply := (*buf)[:0]
+		if err := edonkey.SetExchangeDeadline(conn, g.net.DialTimeout); err != nil {
+			return
+		}
 		switch m.(type) {
 		case *protocol.Hello:
 			_, hash := g.w.IdentityAt(i, g.day)
 			var nick [32]byte
-			reply = protocol.AppendHelloAnswer(reply, hash, g.w.AppendNickname(nick[:0], i))
+			_, err = conn.Write(protocol.AppendHelloAnswer(h.chunk[:0], hash, g.w.AppendNickname(nick[:0], i)))
 		case *protocol.AskSharedFiles:
-			if !g.w.BrowseOK(i) {
-				reply, _ = protocol.AppendMessage(reply, rejectBrowse)
+			if g.w.BrowseOK(i) {
+				err = g.writeSharedFiles(conn, h, i)
 			} else {
-				reply = g.appendSharedFiles(reply, i)
+				_, err = conn.Write(h.frame(rejectBrowse))
 			}
 		default:
-			reply, _ = protocol.AppendMessage(reply, rejectRequest)
+			_, err = conn.Write(h.frame(rejectRequest))
 		}
-		*buf = reply
-		err = g.gwWrite(conn, *buf)
-		g.frames.Put(buf)
 		if err != nil {
 			return
 		}
 	}
 }
 
-// maxEntrySize bounds one encoded entry of a browse answer: hash, size,
-// tag count, then the name, type and availability tags with the longest
-// synthesized name and kind.
-const maxEntrySize = 16 + 8 + 4 + (4 + 48) + (4 + 8) + 6
+// frame renders a small message into the handler's chunk.
+func (h *handler) frame(m protocol.Message) []byte {
+	frame, _ := protocol.AppendMessage(h.chunk[:0], m)
+	return frame
+}
 
-// appendSharedFiles renders client i's browse answer from the columns
-// straight into dst: the cache span entry by entry, each name
-// synthesized into a stack buffer, no FileEntry and no string.
-func (g *worldGateway) appendSharedFiles(dst []byte, i int) []byte {
+// writeSharedFiles streams client i's browse answer from the columns to
+// w through the handler's chunk: one pass sums the entries' sizes, which
+// the frame announces first, and a second renders them, each name
+// synthesized into a stack buffer — no FileEntry, no string, and nothing
+// that grows with the cache. An answer too large to frame gets a Reject
+// at once, not a silence the dialler would wait out.
+func (g *worldGateway) writeSharedFiles(w io.Writer, h *handler, i int) error {
 	files, _ := g.w.CacheView(i)
-	// Reserve the whole answer at once: a cache span can run to
-	// thousands of entries, and growing by doubling would allocate
-	// twice the frame.
-	dst = slices.Grow(dst, 16+len(files)*maxEntrySize)
-	var f protocol.ListFrame
-	f.BeginFiles(dst, protocol.OpSharedFilesAnswer)
+	size := 0
+	for _, fi := range files {
+		size += protocol.FileEntrySize(g.w.FileNameLen(int(fi)), g.w.FileKind(int(fi)).String())
+	}
+	var stream protocol.FileStream
+	if err := stream.Begin(w, h.chunk[:0], protocol.OpSharedFilesAnswer, len(files), size); err != nil {
+		_, err = w.Write(h.frame(rejectTooLarge))
+		return err
+	}
 	var name [64]byte
 	for _, fi := range files {
 		fi := int(fi)
-		f.AppendFile(g.w.FileHash(fi), uint64(g.w.FileSize(fi)),
+		stream.AppendFile(g.w.FileHash(fi), uint64(g.w.FileSize(fi)),
 			g.w.AppendFileName(name[:0], fi), g.w.FileKind(fi).String(), 0)
 	}
-	return f.End()
+	return stream.End()
 }

@@ -189,10 +189,21 @@ func entriesFor(w *workload.World, i int) []protocol.FileEntry {
 	return out
 }
 
-// The browse answer rendered straight from the columns is the frame
-// AppendMessage makes of the materialized entries, for every client —
-// appended after whatever the buffer held — and costs no heap object
-// once the buffer has grown.
+// writeRecorder keeps what is written to it and the largest write.
+type writeRecorder struct {
+	bytes.Buffer
+	largest int
+}
+
+func (r *writeRecorder) Write(p []byte) (int, error) {
+	r.largest = max(r.largest, len(p))
+	return r.Buffer.Write(p)
+}
+
+// The browse answer streamed straight from the columns is the frame
+// AppendMessage makes of the materialized entries, for every client; it
+// goes out in writes no larger than the handler's chunk, and costs no
+// heap object.
 func TestBrowseFrameMatchesMaterializedAnswer(t *testing.T) {
 	w, err := workload.New(crawlWorldConfig(34))
 	if err != nil {
@@ -203,26 +214,41 @@ func TestBrowseFrameMatchesMaterializedAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := c.gateway
-	nonEmpty := 0
-	var buf []byte
+	h := g.borrowHandler(nil)
+	defer g.returnHandler(h)
+	nonEmpty, straddling := 0, 0
+	var rec writeRecorder
 	for i := 0; i < w.NumClients(); i++ {
-		want, err := protocol.AppendMessage([]byte("head"), &protocol.SharedFilesAnswer{Files: entriesFor(w, i)})
+		want, err := protocol.AppendMessage(nil, &protocol.SharedFilesAnswer{Files: entriesFor(w, i)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf = g.appendSharedFiles(append(buf[:0], "head"...), i)
-		if !bytes.Equal(buf, want) {
-			t.Fatalf("client %d: rendered browse frame differs from the materialized answer", i)
+		rec.Reset()
+		rec.largest = 0
+		if err := g.writeSharedFiles(&rec, h, i); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rec.Bytes(), want) {
+			t.Fatalf("client %d: streamed browse frame differs from the materialized answer", i)
+		}
+		if rec.largest > writeChunk {
+			t.Fatalf("client %d: a write of %d bytes, chunk %d", i, rec.largest, writeChunk)
+		}
+		if len(want) > writeChunk {
+			straddling++
 		}
 		if w.CacheSize(i) == 0 {
 			continue
 		}
 		nonEmpty++
-		if n := testing.AllocsPerRun(10, func() { buf = g.appendSharedFiles(buf[:0], i) }); n != 0 {
-			t.Fatalf("client %d: rendering %d entries allocated %v times", i, w.CacheSize(i), n)
+		if n := testing.AllocsPerRun(10, func() {
+			rec.Reset()
+			g.writeSharedFiles(&rec, h, i)
+		}); n != 0 {
+			t.Fatalf("client %d: streaming %d entries allocated %v times", i, w.CacheSize(i), n)
 		}
 	}
-	if nonEmpty == 0 {
-		t.Fatal("no client shares anything")
+	if nonEmpty == 0 || straddling == 0 {
+		t.Fatalf("%d clients share something and %d answers straddle a chunk: the world exercises nothing", nonEmpty, straddling)
 	}
 }

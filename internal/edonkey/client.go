@@ -231,7 +231,7 @@ func (s *Session) ServerList() ([]protocol.Endpoint, error) {
 // handshake, then AskSharedFiles. It returns ErrUnreachable for
 // firewalled/offline targets and an error for browse-disabled ones.
 func (c *Client) Browse(target protocol.Endpoint) ([]protocol.FileEntry, error) {
-	list, err := c.BrowseList(target)
+	list, err := c.BrowseList(target, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -239,47 +239,52 @@ func (c *Client) Browse(target protocol.Endpoint) ([]protocol.FileEntry, error) 
 	return w.Entries(), nil
 }
 
-// BrowseList is Browse without the decoding: it returns the answer's
-// entry list as it came off the wire, checked to be well formed, in a
-// buffer the caller owns. Walk it with protocol.WalkFiles. Both replies
-// are checked where they lie; only one that is not what the exchange
-// expects is decoded, to say what it was.
-func (c *Client) BrowseList(target protocol.Endpoint) ([]byte, error) {
+// BrowseList is Browse without the decoding: it appends the answer's
+// entry list, as it came off the wire and checked to be well formed, to
+// dst and returns the extended slice. Walk out[len(dst):] with
+// protocol.WalkFiles. Both replies are read into dst's spare capacity
+// (see protocol.AppendFrame), so a caller that keeps an arena with room
+// browses without allocating a buffer. Both are checked where they lie;
+// only one that is not what the exchange expects is decoded, to say what
+// it was. On error dst is returned as it was.
+func (c *Client) BrowseList(target protocol.Endpoint, dst []byte) ([]byte, error) {
 	conn, err := c.net.Dial(target)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	defer conn.Close()
-	op, payload, scratch, err := requestFrame(conn, c.hello, nil, c.net.DialTimeout)
+	start := len(dst)
+	op, out, err := requestFrame(conn, c.hello, dst, c.net.DialTimeout)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if op != protocol.OpHelloAnswer {
-		reply, err := protocol.Decode(op, payload)
+		reply, err := protocol.Decode(op, out[start:])
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		return nil, fmt.Errorf("edonkey: unexpected hello reply %T", reply)
+		return dst, fmt.Errorf("edonkey: unexpected hello reply %T", reply)
 	}
-	if err := protocol.CheckHelloAnswer(payload); err != nil {
-		return nil, err
+	if err := protocol.CheckHelloAnswer(out[start:]); err != nil {
+		return dst, err
 	}
-	op, payload, _, err = requestFrame(conn, askSharedFiles, scratch, c.net.DialTimeout)
+	// The handshake reply is spent: the answer goes where it lay.
+	op, out, err = requestFrame(conn, askSharedFiles, out[:start], c.net.DialTimeout)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if op == protocol.OpSharedFilesAnswer {
-		if err := protocol.CheckFiles(payload); err != nil {
-			return nil, err
+		if err := protocol.CheckFiles(out[start:]); err != nil {
+			return dst, err
 		}
-		return payload, nil
+		return out, nil
 	}
-	reply, err := protocol.Decode(op, payload)
+	reply, err := protocol.Decode(op, out[start:])
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if r, ok := reply.(*protocol.Reject); ok {
-		return nil, fmt.Errorf("edonkey: browse rejected: %s", r.Reason)
+		return dst, fmt.Errorf("edonkey: browse rejected: %s", r.Reason)
 	}
-	return nil, fmt.Errorf("edonkey: unexpected browse reply %T", reply)
+	return dst, fmt.Errorf("edonkey: unexpected browse reply %T", reply)
 }

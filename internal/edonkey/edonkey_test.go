@@ -197,12 +197,16 @@ func TestBrowse(t *testing.T) {
 		t.Fatalf("browse = %+v", files)
 	}
 
-	// BrowseList hands back the same answer undecoded.
-	list, err := crawler.BrowseList(ep(20))
+	// BrowseList hands back the same answer undecoded, appended to what
+	// the buffer held.
+	out, err := crawler.BrowseList(ep(20), []byte("head"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := protocol.WalkFiles(list)
+	if string(out[:4]) != "head" {
+		t.Fatalf("BrowseList overwrote the buffer's bytes: %q", out[:4])
+	}
+	w := protocol.WalkFiles(out[4:])
 	var v protocol.FileView
 	if w.Len() != 1 || !w.Next(&v) || v.Entry() != files[0] || w.Next(&v) || w.Err() != nil {
 		t.Fatalf("browse list walks to %+v (err %v), want %+v", v.Entry(), w.Err(), files[0])

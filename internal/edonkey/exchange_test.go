@@ -120,7 +120,7 @@ func TestBrowseChecksTheAnswerList(t *testing.T) {
 			n := NewNetwork()
 			scriptedPeer(t, n, ep(20), hello, reply)
 			c := NewClient(n, hashOf(4), ep(21), "crawler")
-			if list, err := c.BrowseList(ep(20)); err == nil {
+			if list, err := c.BrowseList(ep(20), nil); err == nil {
 				t.Fatalf("BrowseList accepted a malformed list of %d bytes", len(list))
 			}
 		})

@@ -194,13 +194,13 @@ func request(conn net.Conn, req protocol.Message, timeout time.Duration) (protoc
 }
 
 // requestFrame is request for a caller that holds its request encoded
-// and wants the reply undecoded: it returns the reply's opcode and
-// payload in scratch (see protocol.ReadFrame).
-func requestFrame(conn net.Conn, req, scratch []byte, timeout time.Duration) (op byte, payload, grown []byte, err error) {
+// and wants the reply undecoded: it appends the reply's payload to dst
+// and returns its opcode (see protocol.AppendFrame).
+func requestFrame(conn net.Conn, req, dst []byte, timeout time.Duration) (op byte, out []byte, err error) {
 	if err := sendFrame(conn, req, timeout); err != nil {
-		return 0, nil, scratch, err
+		return 0, dst, err
 	}
-	return protocol.ReadFrame(conn, scratch)
+	return protocol.AppendFrame(conn, dst)
 }
 
 // sendFrame is send for a caller that holds its message encoded.

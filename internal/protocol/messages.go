@@ -73,6 +73,18 @@ func appendFileTail(dst []byte, typ string, avail uint32) []byte {
 	return appendTag(dst, Uint32Tag(TagAvailability, avail))
 }
 
+// FileEntrySize is the exact encoded size of a file entry with a name of
+// nameLen bytes and the given type: what appendFileHead, the name and
+// appendFileTail write together. A writer that must announce a list's
+// size before its first entry sums it over the entries.
+func FileEntrySize(nameLen int, typ string) int {
+	const (
+		head = 16 + 8 + 4 + 2 + 2 // hash, size, tag count, name tag, name length
+		tail = 2 + 2 + 2 + 4      // type tag and length, availability tag and value
+	)
+	return head + nameLen + tail + len(typ)
+}
+
 func appendFileEntries(dst []byte, files []FileEntry) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(files)))
 	for _, f := range files {

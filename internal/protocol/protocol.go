@@ -326,38 +326,78 @@ const readChunk = 64 << 10
 // buffer to pass to the next call: the header is read into it too, so a
 // connection that keeps its scratch reads frames without allocating.
 func ReadFrame(r io.Reader, scratch []byte) (op byte, payload, grown []byte, err error) {
-	if cap(scratch) < frameHeaderSize {
-		scratch = make([]byte, 0, 64)
+	body, err := readBody(r, scratch[:0])
+	if err != nil {
+		return 0, nil, body, err
 	}
-	hdr := scratch[:frameHeaderSize]
+	return body[0], body[1:], body, nil
+}
+
+// AppendFrame reads one frame like ReadFrame and appends its payload to
+// dst: it returns the opcode and the extended slice, whose bytes past
+// len(dst) are the payload. The header and the opcode pass through dst's
+// spare capacity too, so a caller that keeps room in an arena reads
+// frames into it without allocating. Without room, dst grows as the
+// body arrives, ahead of it by a chunk or by doubling what dst held,
+// never by what a header claims. On error out holds dst's bytes and
+// nothing more.
+func AppendFrame(r io.Reader, dst []byte) (op byte, out []byte, err error) {
+	start := len(dst)
+	body, err := readBody(r, dst)
+	if err != nil {
+		return 0, body, err
+	}
+	op = body[start]
+	n := copy(body[start:], body[start+1:])
+	return op, body[:start+n], nil
+}
+
+// readBody reads one frame and appends its body — the opcode, then the
+// payload — to dst, reserving at most readChunk (or what dst held) ahead
+// of what the peer has sent. The header is read into dst's spare
+// capacity and overwritten by the body. On error the result has dst's
+// length.
+func readBody(r io.Reader, dst []byte) ([]byte, error) {
+	start := len(dst)
+	dst = reserve(dst, frameHeaderSize, 64)
+	hdr := dst[start : start+frameHeaderSize]
 	if _, err := io.ReadFull(r, hdr); err != nil {
-		return 0, nil, scratch, err
+		return dst, err
 	}
 	if hdr[0] != ProtoMarker {
-		return 0, nil, scratch, ErrBadMarker
+		return dst, ErrBadMarker
 	}
 	size := int(binary.LittleEndian.Uint32(hdr[1:]))
 	if size == 0 {
-		return 0, nil, scratch, ErrTruncated
+		return dst, ErrTruncated
 	}
 	if size > MaxMessageSize {
-		return 0, nil, scratch, ErrTooLarge
+		return dst, ErrTooLarge
 	}
-	body := scratch[:0]
-	if first := min(size, readChunk); cap(body) < first {
-		body = make([]byte, 0, first)
-	}
-	for {
-		n := min(size, cap(body))
-		if _, err := io.ReadFull(r, body[len(body):n]); err != nil {
-			return 0, nil, body, err
+	first := min(size, readChunk)
+	dst = reserve(dst, first, first)
+	for got := 0; ; {
+		n := min(size, cap(dst)-start)
+		if _, err := io.ReadFull(r, dst[start+got:start+n]); err != nil {
+			return dst, err
 		}
-		body = body[:n]
 		if n == size {
-			return body[0], body[1:], body, nil
+			return dst[:start+n], nil
 		}
-		body = slices.Grow(body, min(size-n, n))
+		got = n
+		dst = slices.Grow(dst[:start+n], min(size-n, n))[:start]
 	}
+}
+
+// reserve returns dst if it has room for need more bytes, and otherwise
+// a copy of it in a new array with room for want more. A buffer that
+// already holds bytes at least doubles, so an arena filled frame by
+// frame is copied a bounded number of times.
+func reserve(dst []byte, need, want int) []byte {
+	if cap(dst)-len(dst) >= need {
+		return dst
+	}
+	return append(make([]byte, 0, max(len(dst)+want, 2*len(dst))), dst...)
 }
 
 // Decode decodes the payload of a frame with the given opcode. The

@@ -10,6 +10,8 @@ package protocol
 
 import (
 	"encoding/binary"
+	"errors"
+	"io"
 	"slices"
 	"strings"
 )
@@ -164,6 +166,73 @@ func (f *ListFrame) End() []byte {
 	binary.LittleEndian.PutUint32(f.buf[f.start+1:], uint32(size))
 	binary.LittleEndian.PutUint32(f.buf[f.countAt:], f.n)
 	return f.buf
+}
+
+// FileStream writes a file-list frame (OfferFiles, SearchResult or
+// SharedFilesAnswer) to w through a buffer of fixed capacity, so a list
+// of any length costs its writer that buffer and nothing more. A frame
+// announces its size before its first entry, so Begin takes the entry
+// count and the sum of the entries' FileEntrySize up front; the bytes
+// written are the ones ListFrame renders for the same entries.
+type FileStream struct {
+	w   io.Writer
+	buf []byte
+	// n and left are the entries and entry bytes Begin announced that
+	// have not been appended yet.
+	n, left int
+	err     error
+}
+
+var errListMismatch = errors.New("protocol: streamed list differs from its announced size")
+
+// Begin starts a frame of n entries whose encoded sizes sum to size,
+// rendered into buf's capacity. It writes nothing and returns
+// ErrTooLarge if the payload would exceed MaxMessageSize: the frame
+// that ListFrame.End drops.
+func (s *FileStream) Begin(w io.Writer, buf []byte, opcode byte, n, size int) error {
+	payload := 1 + 4 + size // opcode, count, entries
+	if payload > MaxMessageSize {
+		return ErrTooLarge
+	}
+	buf = append(buf[:0], ProtoMarker)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(payload))
+	buf = append(buf, opcode)
+	*s = FileStream{w: w, buf: binary.LittleEndian.AppendUint32(buf, uint32(n)), n: n, left: size}
+	return nil
+}
+
+// AppendFile adds one entry, writing out what is buffered first if the
+// entry does not fit in the rest of the buffer. name may live in a
+// scratch buffer the caller reuses for the next entry. The buffer must
+// hold the largest entry; one that does not grows it.
+func (s *FileStream) AppendFile(hash [16]byte, size uint64, name []byte, typ string, avail uint32) {
+	n := FileEntrySize(len(name), typ)
+	if len(s.buf)+n > cap(s.buf) {
+		s.flush()
+	}
+	s.buf = appendFileHead(s.buf, &hash, size, len(name))
+	s.buf = append(s.buf, name...)
+	s.buf = appendFileTail(s.buf, typ, avail)
+	s.n--
+	s.left -= n
+}
+
+// End writes out what is buffered and returns the first write error, or
+// an error if the entries appended are not the ones Begin announced.
+func (s *FileStream) End() error {
+	s.flush()
+	if s.err == nil && (s.n != 0 || s.left != 0) {
+		s.err = errListMismatch
+	}
+	s.w, s.buf = nil, nil
+	return s.err
+}
+
+func (s *FileStream) flush() {
+	if s.err == nil && len(s.buf) > 0 {
+		_, s.err = s.w.Write(s.buf)
+	}
+	s.buf = s.buf[:0]
 }
 
 // replyWriter is the ListFrame a ServerCore renders directory visits

@@ -96,12 +96,17 @@ func TestLyingHeaderAllocatesAChunk(t *testing.T) {
 	binary.LittleEndian.PutUint32(raw[1:], MaxMessageSize)
 	var err error
 	const limit = readChunk + 4<<10
-	got := allocBytes(limit, func() { _, err = ReadMessage(bytes.NewReader(raw)) })
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
-	}
-	if got > limit {
-		t.Fatalf("a 9-byte stream claiming %d bytes cost %d", MaxMessageSize, got)
+	for name, read := range map[string]func(){
+		"ReadMessage": func() { _, err = ReadMessage(bytes.NewReader(raw)) },
+		"AppendFrame": func() { _, _, err = AppendFrame(bytes.NewReader(raw), nil) },
+	} {
+		got := allocBytes(limit, read)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%s: err = %v, want io.ErrUnexpectedEOF", name, err)
+		}
+		if got > limit {
+			t.Fatalf("%s: a 9-byte stream claiming %d bytes cost %d", name, MaxMessageSize, got)
+		}
 	}
 }
 
@@ -313,6 +318,153 @@ func TestListFrameMatchesAppendMessage(t *testing.T) {
 	}
 	if got := f.End(); !bytes.Equal(got, want) {
 		t.Fatalf("ListFrame rendering differs from AppendMessage\n got %x\nwant %x", got, want)
+	}
+}
+
+// writeRecorder keeps what is written to it and the largest write.
+type writeRecorder struct {
+	bytes.Buffer
+	largest int
+}
+
+func (r *writeRecorder) Write(p []byte) (int, error) {
+	r.largest = max(r.largest, len(p))
+	return r.Buffer.Write(p)
+}
+
+// streamFiles writes files as one frame through a FileStream rendering
+// into a buffer of capacity chunk.
+func streamFiles(t *testing.T, w io.Writer, files []FileEntry, chunk int) {
+	t.Helper()
+	size := 0
+	for _, e := range files {
+		size += FileEntrySize(len(e.Name), e.Type)
+	}
+	var s FileStream
+	if err := s.Begin(w, make([]byte, 0, chunk), OpSharedFilesAnswer, len(files), size); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range files {
+		s.AppendFile(e.Hash, e.Size, []byte(e.Name), e.Type, e.Availability)
+	}
+	if err := s.End(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A streamed list is ListFrame's one-pass rendering byte for byte, for
+// lists that fit the buffer, straddle it and run to many buffers, and
+// none of its writes is larger than the buffer.
+func TestFileStreamMatchesListFrame(t *testing.T) {
+	rng := rand.New(rand.NewPCG(8, 9))
+	for _, chunk := range []int{256, 8 << 10} {
+		for _, n := range []int{0, 1, 3, 40, 2000} {
+			files := randomFiles(rng, n)
+			var f ListFrame
+			f.BeginFiles(nil, OpSharedFilesAnswer)
+			for _, e := range files {
+				f.AppendFile(e.Hash, e.Size, []byte(e.Name), e.Type, e.Availability)
+			}
+			want := f.End()
+			var rec writeRecorder
+			streamFiles(t, &rec, files, chunk)
+			if !bytes.Equal(rec.Bytes(), want) {
+				t.Fatalf("chunk %d, %d entries: streamed frame differs from ListFrame's", chunk, n)
+			}
+			if rec.largest > chunk {
+				t.Fatalf("chunk %d, %d entries: a write of %d bytes", chunk, n, rec.largest)
+			}
+		}
+	}
+}
+
+// An entry that does not fit in what is left of the buffer goes out
+// after the buffer is written; the stream's entry accounting catches a
+// list that is not the one announced.
+func TestFileStreamBoundaries(t *testing.T) {
+	e := FileEntry{Name: "abc", Type: "audio"}
+	n := FileEntrySize(len(e.Name), e.Type)
+	// A buffer that holds the header and exactly one entry, then none.
+	for _, chunk := range []int{10 + n, 10 + n - 1} {
+		var rec writeRecorder
+		streamFiles(t, &rec, []FileEntry{e, e}, chunk)
+		want, _ := AppendMessage(nil, &SharedFilesAnswer{Files: []FileEntry{e, e}})
+		if !bytes.Equal(rec.Bytes(), want) || rec.largest > chunk {
+			t.Fatalf("chunk %d: streamed %x in writes up to %d, want %x", chunk, rec.Bytes(), rec.largest, want)
+		}
+	}
+	var s FileStream
+	if err := s.Begin(io.Discard, nil, OpSharedFilesAnswer, 2, 2*n); err != nil {
+		t.Fatal(err)
+	}
+	s.AppendFile(e.Hash, e.Size, []byte(e.Name), e.Type, 0)
+	if err := s.End(); err == nil {
+		t.Fatal("a stream one entry short of its announcement ended without an error")
+	}
+}
+
+// FileEntrySize is exact at the frame size limit: a list whose summed
+// sizes put the payload at MaxMessageSize is framed by ListFrame and
+// begun by FileStream, and one byte more is dropped by the one and
+// refused by the other.
+func TestFileEntrySizeAtTheLimit(t *testing.T) {
+	if testenv.Race() {
+		t.Skip("renders two 16 MB frames")
+	}
+	name := bytes.Repeat([]byte("n"), 60000)
+	entries := (MaxMessageSize - 5) / FileEntrySize(len(name), "")
+	rest := MaxMessageSize - 5 - entries*FileEntrySize(len(name), "")
+	lastName := rest - FileEntrySize(0, "")
+	for _, extra := range []int{0, 1} {
+		last := name[:lastName+extra]
+		var f ListFrame
+		f.BeginFiles(nil, OpSharedFilesAnswer)
+		size := 0
+		for range entries {
+			f.AppendFile([16]byte{}, 1, name, "", 0)
+			size += FileEntrySize(len(name), "")
+		}
+		f.AppendFile([16]byte{}, 1, last, "", 0)
+		size += FileEntrySize(len(last), "")
+		framed := len(f.End()) > 0
+		var s FileStream
+		err := s.Begin(io.Discard, nil, OpSharedFilesAnswer, entries+1, size)
+		if framed != (extra == 0) || (err == nil) != (extra == 0) {
+			t.Fatalf("payload MaxMessageSize+%d: ListFrame framed it %v, FileStream.Begin err %v", extra, framed, err)
+		}
+		if extra == 1 && !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("payload past the limit: err %v, want ErrTooLarge", err)
+		}
+	}
+}
+
+// AppendFrame appends a frame's payload after what the buffer held, reads
+// into the spare capacity without allocating, and grows a short buffer
+// as the body arrives.
+func TestAppendFrame(t *testing.T) {
+	rng := rand.New(rand.NewPCG(10, 11))
+	want := &SharedFilesAnswer{Files: randomFiles(rng, 3000)}
+	raw, _ := AppendMessage(nil, want)
+	op, out, err := AppendFrame(iotest1(raw), []byte("head"))
+	if err != nil || op != OpSharedFilesAnswer || string(out[:4]) != "head" {
+		t.Fatalf("AppendFrame: op %x, err %v, head %q", op, err, out[:min(4, len(out))])
+	}
+	if !bytes.Equal(out[4:], raw[6:]) {
+		t.Fatal("appended payload differs from the frame's")
+	}
+	arena := make([]byte, 0, len(raw)+64)
+	var rd bytes.Reader
+	if n := testing.AllocsPerRun(10, func() {
+		rd.Reset(raw)
+		if _, _, err := AppendFrame(&rd, arena[:1]); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("AppendFrame into an arena with room allocated %v times", n)
+	}
+	// On error the buffer keeps its bytes and nothing more.
+	if _, out, err := AppendFrame(bytes.NewReader(raw[:100]), []byte("head")); err == nil || string(out) != "head" {
+		t.Fatalf("a cut frame: err %v, out %q", err, out)
 	}
 }
 

@@ -93,6 +93,25 @@ func appendZeroPadded(dst []byte, v, width int) []byte {
 	return append(dst, s...)
 }
 
+// fileNameLen is len(appendFileName(nil, adj, noun, topic, kind, seq)).
+func fileNameLen(adj, noun uint8, topic int, kind trace.FileKind, seq int) int {
+	return len(nameAdjectives[adj]) + 1 + len(nameNouns[noun]) + 2 +
+		zeroPaddedLen(topic, 3) + 1 + zeroPaddedLen(seq, 4) + 1 + len(extFor(kind))
+}
+
+// zeroPaddedLen is how many bytes appendZeroPadded appends for v.
+func zeroPaddedLen(v, width int) int {
+	sign := 0
+	if v < 0 {
+		sign, v, width = 1, -v, width-1
+	}
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return sign + max(n, width)
+}
+
 func formatFileName(adj, noun uint8, topic int, kind trace.FileKind, seq int) string {
 	var buf [maxNameLen]byte
 	return string(appendFileName(buf[:0], adj, noun, topic, kind, seq))

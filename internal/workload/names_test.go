@@ -8,13 +8,17 @@ import (
 )
 
 // The append renderers print what the fmt verbs they replaced printed:
-// "%s_%s_t%03d_%04d.%s" for a file name and "%s_%d" for a nickname.
+// "%s_%s_t%03d_%04d.%s" for a file name and "%s_%d" for a nickname, and
+// the length functions count what they print.
 func TestAppendRenderersMatchFmt(t *testing.T) {
 	for _, v := range []int{0, 7, 99, 100, 999, 1000, 9999, 10000, 123456, -1, -12, -123, -1234} {
 		for _, width := range []int{3, 4} {
 			want := fmt.Sprintf("%0*d", width, v)
 			if got := string(appendZeroPadded(nil, v, width)); got != want {
 				t.Errorf("appendZeroPadded(%d, %d) = %q, want %q", v, width, got, want)
+			}
+			if n := zeroPaddedLen(v, width); n != len(want) {
+				t.Errorf("zeroPaddedLen(%d, %d) = %d, want %d", v, width, n, len(want))
 			}
 		}
 	}
@@ -31,6 +35,9 @@ func TestAppendRenderersMatchFmt(t *testing.T) {
 				}
 				if s := formatFileName(uint8(adj), uint8(noun), topic, kind, seq); s != want {
 					t.Fatalf("formatFileName = %q, want %q", s, want)
+				}
+				if n := fileNameLen(uint8(adj), uint8(noun), topic, kind, seq); n != len(want) {
+					t.Fatalf("fileNameLen = %d, want len(%q)", n, want)
 				}
 				if len(want) > maxNameLen {
 					t.Fatalf("%q is longer than maxNameLen", want)
@@ -53,7 +60,8 @@ func TestAppendRenderersMatchFmt(t *testing.T) {
 }
 
 // A world's append accessors agree with its string accessors and render
-// into a caller's buffer without allocating.
+// into a caller's buffer without allocating; FileNameLen measures what
+// AppendFileName renders.
 func TestWorldAppendNames(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 9
@@ -70,6 +78,9 @@ func TestWorldAppendNames(t *testing.T) {
 	for fi := 0; fi < w.NumFiles(); fi++ {
 		if got := string(w.AppendFileName(buf[:0], fi)); got != w.FileName(fi) {
 			t.Fatalf("file %d: AppendFileName %q, FileName %q", fi, got, w.FileName(fi))
+		}
+		if n := w.FileNameLen(fi); n != len(w.FileName(fi)) {
+			t.Fatalf("file %d: FileNameLen %d, want len(%q)", fi, n, w.FileName(fi))
 		}
 	}
 	for i := 0; i < w.NumClients(); i++ {

@@ -777,9 +777,13 @@ func (w *World) refreshSamplers() {
 	stats.Cumulate(w.globalCum)
 }
 
+// resizeF64 returns a buffer of length n, buf itself if it has the room.
+// The catalogue and its topics grow a little every Step, so a buffer that
+// has to grow is made a quarter larger than asked: an exact fit would be
+// reallocated the next day. Callers overwrite every slot.
 func resizeF64(buf []float64, n int) []float64 {
 	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]float64, n, n+n/4)
 	}
 	return buf[:n]
 }
@@ -1082,17 +1086,6 @@ func (w *World) CacheView(i int) (files, days []int32) {
 	return w.cohortOf(i).cacheSpan(&w.cl, i)
 }
 
-// CacheFiles returns a copy of client i's shared file indices in
-// ascending order (the legacy convenience shape; hot paths use CacheView).
-func (w *World) CacheFiles(i int) []int {
-	files, _ := w.CacheView(i)
-	out := make([]int, len(files))
-	for j, f := range files {
-		out[j] = int(f)
-	}
-	return out
-}
-
 // --- catalogue accessors --------------------------------------------------
 
 // FileHash returns the content hash of catalogue file fi.
@@ -1124,6 +1117,14 @@ func (w *World) FileName(fi int) string {
 func (w *World) AppendFileName(dst []byte, fi int) []byte {
 	b := w.cat.nameBit[fi]
 	return appendFileName(dst, b>>4, b&0x0F, int(w.cat.topic[fi]),
+		trace.FileKind(w.cat.kind[fi]), int(w.cat.pos[fi]))
+}
+
+// FileNameLen is the length of catalogue file fi's name, computed from
+// the packed word draws without rendering it.
+func (w *World) FileNameLen(fi int) int {
+	b := w.cat.nameBit[fi]
+	return fileNameLen(b>>4, b&0x0F, int(w.cat.topic[fi]),
 		trace.FileKind(w.cat.kind[fi]), int(w.cat.pos[fi]))
 }
 
